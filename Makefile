@@ -41,9 +41,12 @@ cover:
 # race runs the race detector over the packages with concurrency-sensitive
 # instrumentation and concurrency proper: the observability sinks, the
 # solvers they observe, the model layer (presolve equivalence properties),
-# the width-sweep driver and the HTTP service.
+# the width-sweep driver and the HTTP service. The branch-and-bound
+# packages run at GOMAXPROCS 1 and 2, so the default worker count
+# (one per CPU) takes the multi-worker search even on a 1-CPU runner.
 race:
-	$(GO) test -race ./internal/obs ./internal/milp ./internal/lp ./internal/mipmodel ./internal/server ./internal/core ./internal/portfolio
+	$(GO) test -race ./internal/obs ./internal/lp ./internal/server
+	$(GO) test -race -cpu 1,2 ./internal/milp ./internal/mipmodel ./internal/core ./internal/portfolio
 
 # generate-check fails when internal/obs/schema.go is stale: it
 # regenerates the event/span/histogram registries to a scratch path and
@@ -69,7 +72,7 @@ serve:
 e2e:
 	$(GO) test -run 'CLI|E2E' -v .
 
-# bench runs the Table 1/Table 3 quick benches (including the serial vs
+# bench runs the Table 1/Table 3 quick benches (including the Workers=1 vs
 # Workers=4 pairs) plus the presolve node-count ablation and the portfolio
 # race, and persists a machine-readable BENCH_<utc-date>.json snapshot
 # (ns/op, util%, LP iters, nodes, portfolio TTFF, speedups) via

@@ -70,7 +70,7 @@ func run() error {
 		verbose   = flag.Bool("verbose", false, "log solver progress to stderr and print per-step traces")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		sweep     = flag.Bool("sweep", false, "try several chip widths and keep the best floorplan")
-		workers   = flag.Int("workers", 0, "branch-and-bound workers per MILP step (0 = one per CPU, 1 = serial)")
+		workers   = flag.Int("workers", 0, "branch-and-bound workers per MILP step (0 = one per CPU, 1 = deterministic)")
 		sweepWork = flag.Int("sweepworkers", 0, "concurrent width trials with -sweep (0 = all at once)")
 		timeout   = flag.Duration("timeout", 0, "overall solve deadline (0 = none); the partial floorplan is still reported")
 		presolve  = flag.Bool("presolve", true, "tighten big-M coefficients and fix forced binaries before branch-and-bound")

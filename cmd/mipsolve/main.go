@@ -51,7 +51,7 @@ func run() error {
 	var (
 		input     = flag.String("input", "", "model file; empty reads stdin")
 		maxNodes  = flag.Int("nodes", 200000, "branch-and-bound node limit")
-		workers   = flag.Int("workers", 0, "branch-and-bound workers (0 = one per CPU, 1 = serial)")
+		workers   = flag.Int("workers", 0, "branch-and-bound workers (0 = one per CPU, 1 = deterministic)")
 		timeout   = flag.Duration("timeout", time.Minute, "solve time limit")
 		presolve  = flag.Bool("presolve", true, "propagate variable bounds through the rows before branch-and-bound")
 		traceOut  = flag.String("trace", "", "write a JSONL event trace (lp.solve, node.*) to this file")

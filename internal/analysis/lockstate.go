@@ -19,7 +19,7 @@ import (
 //   - by expression, the source text of the mutex operand ("ps.mu",
 //     "backendMu") — instance-precise within one function body;
 //   - by identity, a canonical cross-package string — "pkg.Type.field"
-//     for a mutex struct field (e.g. "milp.psolver.mu") or "pkg.var"
+//     for a mutex struct field (e.g. "milp.solver.mu") or "pkg.var"
 //     for a package-level mutex (e.g. "core.backendMu"). Identity names
 //     the lock *class*, not the instance.
 //

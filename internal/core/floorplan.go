@@ -48,7 +48,7 @@ type Config struct {
 	MILP milp.Options
 	// Workers sets the branch-and-bound worker count of every MILP
 	// subproblem (see milp.Options.Workers): 0 leaves the milp default
-	// (one worker per CPU), 1 forces the exact serial search, and values
+	// (one worker per CPU), 1 runs one deterministic worker, and values
 	// above 1 parallelize each step's tree search. A non-zero
 	// MILP.Workers takes precedence.
 	Workers int

@@ -64,13 +64,14 @@ type Options struct {
 	TimeLimit time.Duration
 	// AbsGap terminates when bestBound >= incumbent - AbsGap. Defaults to 1e-6.
 	AbsGap float64
-	// Workers sets the number of branch-and-bound worker goroutines.
-	// 0 (the default) means runtime.GOMAXPROCS(0); 1 runs the exact
-	// serial search of earlier versions, bit for bit. At Workers > 1 the
-	// search explores subtrees concurrently from a shared best-bound node
-	// pool (see parallel.go): it proves the same optimum and the same
-	// bound, but may return a different optimal assignment when several
-	// exist, and Nodes/LPIters vary run to run.
+	// Workers sets the number of branch-and-bound worker goroutines; 0
+	// (the default) means runtime.GOMAXPROCS(0). Every worker runs the
+	// same depth-first search over one shared pool of open nodes (see
+	// search.go). Workers: 1 is deterministic: the same model and options
+	// give the same nodes, pivots and incumbent on every run. At Workers
+	// > 1 the search proves the same optimum and bound, but may return a
+	// different optimal assignment when several exist, and Nodes/LPIters
+	// vary run to run.
 	Workers int
 	// Branching selects the branching rule.
 	Branching Branching
@@ -103,9 +104,6 @@ type Options struct {
 	// fallback — for differential testing or to measure the warm-start
 	// speedup (see BenchmarkAblationWarmStart{On,Off}).
 	ColdStart bool
-	// WarmStart is deprecated and ignored: warm-started node re-solves
-	// are now the default. Use ColdStart to opt out.
-	WarmStart bool
 	// External optionally supplies an externally-proven feasible objective
 	// value (in the problem's original sense) together with a label naming
 	// its producer, e.g. "portfolio:anneal". The search polls it at node
@@ -225,101 +223,6 @@ func (r *Result) String() string {
 		r.Status, r.Objective, r.BestBound, gap, r.Nodes, r.LPIters)
 }
 
-// node is one open subproblem: the integer-variable bounds along its path.
-type node struct {
-	lo, hi    []float64 // bounds for m.Ints, in order
-	bound     float64   // parent LP bound (minimize sense), -inf at root
-	depth     int
-	branchVar int  // index into m.Ints of the variable branched to create this node; -1 at root
-	branchUp  bool // direction of that branch
-	id        int  // creation-order id for telemetry (root = 1)
-	owner     int  // 1-based id of the worker that created it; 0 for root/serial
-}
-
-type solver struct {
-	m        *Model
-	opt      Options
-	ctx      context.Context
-	work     *lp.Problem
-	inc      *lp.Incremental // warm-started relaxation solver; nil = cold path
-	sign     float64         // +1 minimize, -1 maximize: node objectives are sign*obj
-	deadline time.Time
-
-	incumbent    []float64
-	incumbentObj float64 // minimize sense
-	haveInc      bool
-
-	extObj    float64 // best external objective seen (minimize sense)
-	extSource string
-	haveExt   bool
-
-	nodes      int
-	lpIters    int
-	dualPivots int // dual simplex pivots across warm node re-solves
-	refactors  int // basis refactorizations across warm node re-solves
-
-	// telemetry
-	o        *obs.Observer
-	start    time.Time
-	pushed   int // nodes created (node.open events)
-	prunedN  int // nodes discarded without an LP solve
-	probeGap int // nodes between progress probes
-
-	// pseudo-cost history
-	psUp, psDown   []float64
-	psUpN, psDownN []int
-}
-
-// emitOpen registers a freshly created node and reports it. It must be
-// called exactly once per node so that the trace invariant
-// opened == closed + pruned + open-at-exit holds.
-func (s *solver) emitOpen(n *node) {
-	s.pushed++
-	n.id = s.pushed
-	if s.o.Enabled() {
-		s.o.Emit(obs.Event{
-			Kind: obs.KindNodeOpen, Node: n.id, Depth: n.depth,
-			Bound: s.sign * n.bound, BranchVar: n.branchVar,
-		})
-	}
-}
-
-// emitClose reports a node fully processed after its LP solve.
-func (s *solver) emitClose(n *node, detail string, obj float64) {
-	if s.o.Enabled() {
-		s.o.Emit(obs.Event{
-			Kind: obs.KindNodeClose, Node: n.id, Depth: n.depth,
-			Detail: detail, Obj: s.sign * obj,
-		})
-	}
-}
-
-// emitProgress reports the periodic search probe: explored/open counts,
-// incumbent, proven bound and relative gap.
-func (s *solver) emitProgress(stack []*node, curObj float64) {
-	lb := math.Min(minOpenBound(stack), curObj)
-	e := obs.Event{
-		Kind: obs.KindProgress, Nodes: s.nodes, Open: len(stack),
-		Iters: s.lpIters, Bound: s.sign * lb,
-	}
-	if s.haveInc {
-		e.Obj = s.sign * s.incumbentObj
-		e.Gap = relGap(s.incumbentObj, lb)
-	} else {
-		e.Gap = math.Inf(1)
-	}
-	s.o.Emit(e)
-}
-
-// relGap is the relative MIP gap between an incumbent and a bound, both
-// in minimize sense.
-func relGap(inc, bound float64) float64 {
-	if math.IsInf(bound, 0) || math.IsInf(inc, 0) {
-		return math.Inf(1)
-	}
-	return math.Abs(inc-bound) / math.Max(1e-10, math.Abs(inc))
-}
-
 // Solve runs branch and bound and returns the result. The model's Problem
 // is not modified.
 func Solve(m *Model, opt Options) *Result {
@@ -360,382 +263,13 @@ func SolveCtx(ctx context.Context, m *Model, opt Options) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if len(m.Ints) == 0 {
+		// A pure LP is a single node: extra workers would only clone it.
+		workers = 1
+	}
 	var res *Result
 	opt.Obs.Do(ctx, "bb", obs.SpanAttrs{Worker: workers}, func(ctx context.Context) {
-		if workers > 1 && len(m.Ints) > 0 {
-			res = solveParallel(ctx, m, opt, workers)
-			return
-		}
-		s := &solver{
-			m:            m,
-			opt:          opt,
-			ctx:          ctx,
-			work:         m.P.Clone(),
-			sign:         1,
-			incumbentObj: math.Inf(1),
-			o:            opt.Obs,
-			start:        time.Now(),
-			probeGap:     opt.ProgressEvery,
-			psUp:         make([]float64, len(m.Ints)),
-			psDown:       make([]float64, len(m.Ints)),
-			psUpN:        make([]int, len(m.Ints)),
-			psDownN:      make([]int, len(m.Ints)),
-		}
-		if m.P.Maximizing() {
-			s.sign = -1
-		}
-		if opt.TimeLimit > 0 {
-			s.deadline = time.Now().Add(opt.TimeLimit)
-		}
-		if !opt.ColdStart {
-			if inc, err := lp.NewIncremental(s.work, opt.LP); err == nil {
-				s.inc = inc
-			}
-		}
-		res = s.run()
+		res = search(ctx, m, opt, workers)
 	})
 	return res
-}
-
-func (s *solver) timeUp() bool {
-	if s.ctx.Err() != nil {
-		return true
-	}
-	return !s.deadline.IsZero() && time.Now().After(s.deadline)
-}
-
-// pollExternal refreshes the externally-shared incumbent objective.
-func (s *solver) pollExternal() {
-	if s.opt.External == nil {
-		return
-	}
-	if obj, src, ok := s.opt.External(); ok {
-		v := s.sign * obj
-		if !s.haveExt || v < s.extObj {
-			s.extObj, s.extSource, s.haveExt = v, src, true
-		}
-	}
-}
-
-// cutoff returns the pruning cutoff in minimize sense: the tighter of
-// the internal incumbent and the external objective.
-func (s *solver) cutoff() (float64, bool) {
-	switch {
-	case s.haveInc && s.haveExt:
-		return math.Min(s.incumbentObj, s.extObj), true
-	case s.haveInc:
-		return s.incumbentObj, true
-	case s.haveExt:
-		return s.extObj, true
-	}
-	return 0, false
-}
-
-// setIntBounds applies a node's integer bounds to the working problem.
-func (s *solver) setIntBounds(n *node) {
-	if s.inc != nil {
-		for k, v := range s.m.Ints {
-			s.inc.SetBounds(v, n.lo[k], n.hi[k])
-		}
-		return
-	}
-	for k, v := range s.m.Ints {
-		s.work.SetBounds(v, n.lo[k], n.hi[k])
-	}
-}
-
-// solveLP solves the working problem and returns the solution plus the
-// node bound in minimize sense. On the warm path the returned Solution
-// (and its X) is the incremental solver's reused buffer: it is only
-// valid until the next solveLP call, so values needed across solves
-// must be copied out first.
-func (s *solver) solveLP() (*lp.Solution, float64) {
-	var sol *lp.Solution
-	var err error
-	if s.inc != nil {
-		sol, err = s.inc.SolveCtxReuse(s.ctx)
-	} else {
-		sol, err = s.work.SolveCtx(s.ctx, s.opt.LP)
-	}
-	if err != nil {
-		return nil, math.Inf(1)
-	}
-	s.lpIters += sol.Iterations
-	s.dualPivots += sol.DualPivots
-	s.refactors += sol.Refactorizations
-	return sol, s.sign * sol.Objective
-}
-
-// tryIncumbentHint fixes integers to the hint's rounded values and
-// re-optimizes the continuous part.
-func (s *solver) tryIncumbentHint(hint []float64, rootLo, rootHi []float64) {
-	n := &node{lo: append([]float64(nil), rootLo...), hi: append([]float64(nil), rootHi...)}
-	ok := true
-	for k, v := range s.m.Ints {
-		val := math.Round(hint[v])
-		if val < rootLo[k]-intTol || val > rootHi[k]+intTol {
-			ok = false
-			break
-		}
-		n.lo[k], n.hi[k] = val, val
-	}
-	if !ok {
-		return
-	}
-	s.setIntBounds(n)
-	sol, obj := s.solveLP()
-	if sol != nil && sol.Status == lp.StatusOptimal && obj < s.incumbentObj {
-		s.incumbent = append([]float64(nil), sol.X...)
-		s.incumbentObj = obj
-		s.haveInc = true
-		if s.o.Enabled() {
-			// Node 0 marks incumbents from hints/dives, outside the tree.
-			s.o.Emit(obs.Event{Kind: obs.KindIncumbent, Obj: s.sign * obj, Nodes: s.nodes})
-		}
-	}
-}
-
-func (s *solver) run() *Result {
-	ints := s.m.Ints
-	rootLo := make([]float64, len(ints))
-	rootHi := make([]float64, len(ints))
-	for k, v := range ints {
-		lo, hi := s.m.P.Bounds(v)
-		rootLo[k] = math.Ceil(lo - intTol)
-		rootHi[k] = math.Floor(hi + intTol)
-	}
-
-	if s.opt.Incumbent != nil {
-		s.tryIncumbentHint(s.opt.Incumbent, rootLo, rootHi)
-	}
-
-	root := &node{lo: rootLo, hi: rootHi, bound: math.Inf(-1), branchVar: -1}
-	s.emitOpen(root)
-	stack := []*node{root}
-	bestOpenBound := math.Inf(-1)
-	hitLimit := false
-
-	for len(stack) > 0 {
-		if s.nodes >= s.opt.MaxNodes || s.timeUp() {
-			hitLimit = true
-			// The tightest unexplored bound limits what we can still prove.
-			bestOpenBound = minOpenBound(stack)
-			break
-		}
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s.pollExternal()
-
-		// Prune by parent bound before paying for an LP solve.
-		if cut, ok := s.cutoff(); ok && n.bound >= cut-s.opt.AbsGap {
-			s.prunedN++
-			if s.o.Enabled() {
-				s.o.Emit(obs.Event{
-					Kind: obs.KindNodePrune, Node: n.id, Depth: n.depth,
-					Bound: s.sign * n.bound,
-				})
-			}
-			continue
-		}
-
-		s.nodes++
-		if s.o.Enabled() && s.nodes%s.probeGap == 0 {
-			s.emitProgress(stack, n.bound)
-		}
-		s.setIntBounds(n)
-		sol, obj := s.solveLP()
-		if sol == nil {
-			if s.timeUp() {
-				// Cancellation aborted this node's LP mid-solve. Its parent
-				// bound is still unexplored mass, so fold it into the proven
-				// bound before stopping.
-				s.emitClose(n, "cancelled", n.bound)
-				hitLimit = true
-				bestOpenBound = math.Min(minOpenBound(stack), n.bound)
-				break
-			}
-			s.emitClose(n, "lperror", n.bound)
-			continue
-		}
-		switch sol.Status {
-		case lp.StatusInfeasible:
-			s.emitClose(n, "infeasible", n.bound)
-			continue
-		case lp.StatusUnbounded:
-			s.emitClose(n, "unbounded", n.bound)
-			if s.nodes == 1 {
-				return s.result(StatusUnbounded, bestOpenBound, len(stack))
-			}
-			continue
-		case lp.StatusIterLimit:
-			// Bound untrusted; treat as -inf and branch on the best guess.
-			obj = n.bound
-		}
-		if n.branchVar >= 0 && !math.IsInf(n.bound, -1) {
-			s.recordPseudo(n.branchVar, n.branchUp, obj-n.bound)
-		}
-		if cut, ok := s.cutoff(); ok && obj >= cut-s.opt.AbsGap {
-			s.emitClose(n, "bound", obj)
-			continue
-		}
-
-		frac := s.pickBranchVar(sol.X, n)
-		if frac < 0 {
-			// Integer feasible.
-			if obj < s.incumbentObj {
-				s.incumbent = append([]float64(nil), sol.X...)
-				s.incumbentObj = obj
-				s.haveInc = true
-				if s.o.Enabled() {
-					s.o.Emit(obs.Event{
-						Kind: obs.KindIncumbent, Node: n.id, Depth: n.depth,
-						Obj: s.sign * obj, Nodes: s.nodes,
-					})
-				}
-			}
-			s.emitClose(n, "integer", obj)
-			continue
-		}
-
-		// Capture the branch value before the rounding dive: the hint's
-		// re-solve overwrites the warm solver's reused X buffer.
-		x := sol.X[ints[frac]]
-		if s.nodes == 1 && s.opt.RootRounding {
-			s.tryIncumbentHint(sol.X, rootLo, rootHi)
-		}
-		fl := math.Floor(x)
-
-		down := &node{lo: cloneF(n.lo), hi: cloneF(n.hi), bound: obj, depth: n.depth + 1, branchVar: frac}
-		down.hi[frac] = fl
-		up := &node{lo: cloneF(n.lo), hi: cloneF(n.hi), bound: obj, depth: n.depth + 1, branchVar: frac, branchUp: true}
-		up.lo[frac] = fl + 1
-		s.emitClose(n, "branched", obj)
-		s.emitOpen(down)
-		s.emitOpen(up)
-
-		// Dive toward the nearest integer first (pushed last = popped first).
-		if x-fl < 0.5 {
-			stack = append(stack, up, down)
-		} else {
-			stack = append(stack, down, up)
-		}
-	}
-
-	if hitLimit {
-		if s.haveInc {
-			return s.result(StatusFeasible, bestOpenBound, len(stack))
-		}
-		return s.result(StatusLimit, bestOpenBound, len(stack))
-	}
-	// Exhausted. Subtrees were pruned against min(incumbent, external), so
-	// when the external objective is the tighter of the two nothing in
-	// this model beats it: the external solution dominates the search.
-	if s.haveExt && (!s.haveInc || s.extObj < s.incumbentObj) {
-		return s.result(StatusDominated, s.extObj, len(stack))
-	}
-	if s.haveInc {
-		return s.result(StatusOptimal, s.incumbentObj, len(stack))
-	}
-	return s.result(StatusInfeasible, bestOpenBound, len(stack))
-}
-
-func minOpenBound(stack []*node) float64 {
-	best := math.Inf(1)
-	for _, n := range stack {
-		if n.bound < best {
-			best = n.bound
-		}
-	}
-	return best
-}
-
-func cloneF(xs []float64) []float64 { return append([]float64(nil), xs...) }
-
-// pickBranchVar returns the index (into m.Ints) of the branching variable,
-// or -1 when all integer variables are integral. Variables already fixed
-// by the node's bounds are never selected.
-func (s *solver) pickBranchVar(x []float64, n *node) int {
-	best := -1
-	bestScore := intTol
-	for k, v := range s.m.Ints {
-		//vet:allow toleq -- node bounds are fixed by assignment; exact == is intentional
-		if n.lo[k] == n.hi[k] {
-			continue
-		}
-		val := x[v]
-		f := val - math.Floor(val)
-		dist := math.Min(f, 1-f)
-		if dist <= intTol {
-			continue
-		}
-		var score float64
-		switch s.opt.Branching {
-		case PseudoCost:
-			up := pseudo(s.psUp[k], s.psUpN[k])
-			down := pseudo(s.psDown[k], s.psDownN[k])
-			score = math.Min(up*(1-f), down*f) + dist*1e-3
-		default:
-			score = dist
-		}
-		if score > bestScore {
-			bestScore, best = score, k
-		}
-	}
-	return best
-}
-
-func pseudo(sum float64, n int) float64 {
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
-}
-
-// recordPseudo updates branching history with the bound degradation seen
-// after branching variable k in the given direction.
-func (s *solver) recordPseudo(k int, up bool, degradation float64) {
-	if degradation < 0 {
-		degradation = 0
-	}
-	if up {
-		s.psUp[k] += degradation
-		s.psUpN[k]++
-	} else {
-		s.psDown[k] += degradation
-		s.psDownN[k]++
-	}
-}
-
-func (s *solver) result(st Status, bound float64, openLeft int) *Result {
-	r := &Result{
-		Status:           st,
-		Nodes:            s.nodes,
-		LPIters:          s.lpIters,
-		DualPivots:       s.dualPivots,
-		Refactorizations: s.refactors,
-	}
-	if s.haveInc {
-		r.X = s.incumbent
-		r.Objective = s.sign * s.incumbentObj
-		r.IncumbentSource = "bb"
-	}
-	if st == StatusDominated {
-		r.IncumbentSource = s.extSource
-	}
-	// Report the proven bound in the original sense.
-	if math.IsInf(bound, -1) {
-		bound = math.Inf(-1)
-	}
-	r.BestBound = s.sign * bound
-	if s.o.Enabled() {
-		s.o.Emit(obs.Event{
-			Kind: obs.KindSearchDone, Status: st.String(),
-			Obj: r.Objective, Bound: r.BestBound, Gap: r.Gap(),
-			Nodes: s.nodes, Iters: s.lpIters,
-			DualPivots: s.dualPivots, Refactors: s.refactors,
-			Open: openLeft, Pruned: s.prunedN,
-			DurUS: time.Since(s.start).Microseconds(),
-		})
-	}
-	return r
 }

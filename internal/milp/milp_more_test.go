@@ -157,3 +157,38 @@ func TestBranchingOnAlreadyFixedVariables(t *testing.T) {
 		t.Fatalf("fixed variable ignored: %+v", res)
 	}
 }
+
+func TestIterLimitPointsAreNeitherBranchedOutsideNorAccepted(t *testing.T) {
+	// An LP stopped at its iteration limit can report basic values far
+	// outside a node's box. Branching reads them clamped into the box, so
+	// no child is empty.
+	s := &solver{m: hardKnapsack(3, 1)}
+	n := &node{lo: []float64{0, 0, 0}, hi: []float64{1, 1, 1}}
+	if k, v := s.pickBranchVar([]float64{-18217.3, 715.4, 0.25}, n); k != 2 || v != 0.25 {
+		t.Fatalf("pickBranchVar = %d, %v; want the in-box fractional 2, 0.25", k, v)
+	}
+	if k, _ := s.pickBranchVar([]float64{-18217.3, 715.4, 1}, n); k != -1 {
+		t.Fatalf("pickBranchVar = %d on values integral once clamped, want -1", k)
+	}
+	// With one pivot per LP solve the root already stops at the limit. Its
+	// point is never returned as the incumbent, and the node it leaves
+	// unexplored keeps the search from claiming a proof.
+	for _, workers := range []int{1, 4} {
+		m := hardKnapsack(12, 5)
+		res := Solve(m, Options{Workers: workers, LP: lp.Options{MaxIter: 1}, MaxNodes: 2000})
+		if res.Status != StatusLimit && res.Status != StatusFeasible {
+			t.Fatalf("Workers %d: %v, want limit or feasible", workers, res)
+		}
+		if res.X == nil {
+			continue
+		}
+		_, terms, _, capacity := m.P.Constraint(0)
+		load := 0.0
+		for _, tm := range terms {
+			load += tm.Coef * res.X[tm.Var]
+		}
+		if load > capacity+1e-6 {
+			t.Fatalf("Workers %d: incumbent load %v over capacity %v (%v)", workers, load, capacity, res)
+		}
+	}
+}

@@ -115,6 +115,39 @@ func TestParallelMaxNodes(t *testing.T) {
 	}
 }
 
+func TestExhaustedTreeIsNotLimited(t *testing.T) {
+	// A node limit stops the search only when a node is left to take: a
+	// tree that the budget explores completely is proven, not limited.
+	p := lp.NewProblem()
+	p.SetMaximize(true)
+	m := NewModel(p)
+	x := p.AddVariable("x", 0, 10, 1)
+	m.MarkInteger(x)
+	p.AddConstraint("cap", []lp.Term{{Var: x, Coef: 1}}, lp.LE, 3)
+	for _, workers := range []int{1, 2, 4} {
+		for trial := 0; trial < 20; trial++ {
+			res := Solve(m, Options{Workers: workers, MaxNodes: 1})
+			if res.Status != StatusOptimal || res.Objective != 3 || res.Gap() != 0 {
+				t.Fatalf("integral root, Workers %d: %v, want optimal 3 with gap 0", workers, res)
+			}
+		}
+	}
+}
+
+func TestTakePrefersOwnNewestThenStealsOldest(t *testing.T) {
+	// A worker resumes at the newest node it published itself; only with
+	// none of its own left does it steal, taking the oldest open node.
+	s := &solver{pool: []*node{{id: 1}, {id: 2, owner: 1}, {id: 3, owner: 2}, {id: 4, owner: 1}, {id: 5, owner: 2}}}
+	for _, want := range []struct{ worker, id int }{{1, 4}, {1, 2}, {1, 1}, {2, 5}, {1, 3}} {
+		if n := s.takeLocked(want.worker); n.id != want.id {
+			t.Fatalf("worker %d took node %d, want %d", want.worker, n.id, want.id)
+		}
+	}
+	if len(s.pool) != 0 {
+		t.Fatalf("%d nodes left in the pool", len(s.pool))
+	}
+}
+
 func TestParallelCancellation(t *testing.T) {
 	rec := &obs.Recorder{}
 	// hardKnapsack(38, 7) needs ~100k nodes serially, far beyond what any

@@ -2,6 +2,7 @@ package mipmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -55,36 +56,49 @@ func TestRandomSpecsDecodeLegally(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		res := milp.Solve(b.Model, milp.Options{MaxNodes: 3000})
-		if res.X == nil {
-			t.Fatalf("trial %d: no solution (%v)", trial, res.Status)
-		}
-		pls := b.Decode(res.X)
-		envs := make([]geom.Rect, len(pls))
-		for i, p := range pls {
-			envs[i] = p.Env
-		}
-		if i, j, bad := geom.AnyOverlap(envs); bad {
-			t.Fatalf("trial %d: modules %d/%d overlap: %v %v", trial, i, j, envs[i], envs[j])
-		}
-		for i, p := range pls {
-			if p.Env.X < -1e-6 || p.Env.X2() > spec.ChipWidth+1e-6 || p.Env.Y < -1e-6 {
-				t.Fatalf("trial %d: module %d outside chip: %v", trial, i, p.Env)
+		// One worker is the deterministic reference. Four workers share the
+		// pool even where GOMAXPROCS is 1, so every host gates the
+		// multi-worker search; where both prove optimality the optima agree.
+		var ref *milp.Result
+		for _, workers := range []int{1, 4} {
+			res := milp.Solve(b.Model, milp.Options{MaxNodes: 3000, Workers: workers})
+			tag := fmt.Sprintf("trial %d, Workers %d", trial, workers)
+			if res.X == nil {
+				t.Fatalf("%s: no solution (%v)", tag, res.Status)
 			}
-			for k, o := range spec.Obstacles {
-				if p.Env.Overlaps(o) {
-					t.Fatalf("trial %d: module %d overlaps obstacle %d", trial, i, k)
+			if ref == nil {
+				ref = res
+			} else if ref.Status == milp.StatusOptimal && res.Status == milp.StatusOptimal &&
+				math.Abs(res.Objective-ref.Objective) > 1e-6*math.Max(1, math.Abs(ref.Objective)) {
+				t.Fatalf("%s: optimum %v, one worker proved %v", tag, res.Objective, ref.Objective)
+			}
+			pls := b.Decode(res.X)
+			envs := make([]geom.Rect, len(pls))
+			for i, p := range pls {
+				envs[i] = p.Env
+			}
+			if i, j, bad := geom.AnyOverlap(envs); bad {
+				t.Fatalf("%s: modules %d/%d overlap: %v %v", tag, i, j, envs[i], envs[j])
+			}
+			for i, p := range pls {
+				if p.Env.X < -1e-6 || p.Env.X2() > spec.ChipWidth+1e-6 || p.Env.Y < -1e-6 {
+					t.Fatalf("%s: module %d outside chip: %v", tag, i, p.Env)
 				}
-			}
-			m := &mods[p.Index]
-			if m.Kind == netlist.Flexible {
-				if a := p.Mod.Area(); a < m.Area-1e-6 || a > m.Area+1e-6 {
-					t.Fatalf("trial %d: flexible area %v, want %v", trial, a, m.Area)
+				for k, o := range spec.Obstacles {
+					if p.Env.Overlaps(o) {
+						t.Fatalf("%s: module %d overlaps obstacle %d", tag, i, k)
+					}
 				}
-			}
-			if b.HeightOf(res.X) < p.Env.Y2()-1e-6 {
-				t.Fatalf("trial %d: height %v below module top %v",
-					trial, b.HeightOf(res.X), p.Env.Y2())
+				m := &mods[p.Index]
+				if m.Kind == netlist.Flexible {
+					if a := p.Mod.Area(); a < m.Area-1e-6 || a > m.Area+1e-6 {
+						t.Fatalf("%s: flexible area %v, want %v", tag, a, m.Area)
+					}
+				}
+				if b.HeightOf(res.X) < p.Env.Y2()-1e-6 {
+					t.Fatalf("%s: height %v below module top %v",
+						tag, b.HeightOf(res.X), p.Env.Y2())
+				}
 			}
 		}
 	}

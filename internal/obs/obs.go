@@ -60,9 +60,10 @@ const (
 	KindProgress Kind = "progress"
 	// KindSearchDone summarizes a finished branch-and-bound search.
 	KindSearchDone Kind = "search.done"
-	// KindSearchParallel summarizes the parallel branch-and-bound run that
-	// preceded a search.done event: worker count, shared-pool steal count
-	// and cumulative worker idle time. Emitted only at Workers > 1.
+	// KindSearchParallel summarizes the worker pool of the branch-and-bound
+	// search that preceded a search.done event: worker count, shared-pool
+	// steal count and cumulative worker idle time. Every search emits it;
+	// at Workers 1 the steal and idle counters are zero.
 	KindSearchParallel Kind = "search.parallel"
 	// KindStepStart opens one successive-augmentation step: group
 	// composition, covering-rectangle count and 0-1 variable count.
@@ -173,7 +174,8 @@ type Event struct {
 	MReduction float64 `json:"m_reduction,omitempty"`
 
 	// Worker is the 1-based branch-and-bound worker id that produced a
-	// node.* event; 0 (omitted) for the serial search.
+	// node.* or incumbent event; 0 (omitted) on the root's node.open,
+	// which the search creates before any worker starts.
 	Worker int `json:"worker,omitempty"`
 	// Workers is the worker count of a search.parallel summary.
 	Workers int `json:"workers,omitempty"`

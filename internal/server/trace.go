@@ -55,7 +55,7 @@ func newTraceBuffer(max int) *traceBuffer {
 // with its pool lock held (the trace buffer is one of the job's fanned-
 // out sinks), which the analyzer cannot see through the obs.Sink
 // interface; declare the edge so the golden graph records it.
-// lockorder: milp.psolver.mu -> server.traceBuffer.mu -- emitProgressLocked fans out to the job's trace buffer through obs.Multi
+// lockorder: milp.solver.mu -> server.traceBuffer.mu -- emitProgressLocked fans out to the job's trace buffer through obs.Multi
 func (b *traceBuffer) Emit(e obs.Event) {
 	b.mu.Lock()
 	if len(b.events) < b.max {
