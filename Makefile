@@ -27,11 +27,12 @@ test:
 	$(GO) test ./...
 
 # cover prints a per-package coverage summary and enforces a 70% floor on
-# the static-analysis, model-builder, observability and portfolio-racing
-# packages, whose correctness the rest of the gate leans on.
+# the LP engine, the branch and bound, and the static-analysis,
+# model-builder, observability and portfolio-racing packages, whose
+# correctness the rest of the gate leans on.
 cover:
 	$(GO) test -cover ./internal/... | tee cover.out
-	@awk '/^ok/ && ($$2 == "afp/internal/analysis" || $$2 == "afp/internal/mipmodel" || $$2 == "afp/internal/obs" || $$2 == "afp/internal/portfolio") { \
+	@awk '/^ok/ && ($$2 == "afp/internal/analysis" || $$2 == "afp/internal/lp" || $$2 == "afp/internal/milp" || $$2 == "afp/internal/mipmodel" || $$2 == "afp/internal/obs" || $$2 == "afp/internal/portfolio") { \
 		for (i = 1; i <= NF; i++) if ($$i ~ /^[0-9.]+%$$/) { pct = substr($$i, 1, length($$i)-1) + 0; \
 			if (pct < 70) { printf "cover: %s at %s%% is under the 70%% floor\n", $$2, pct; bad = 1 } \
 			else printf "cover: %s at %s%% meets the 70%% floor\n", $$2, pct } } \

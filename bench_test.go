@@ -394,39 +394,6 @@ func BenchmarkAblationAugmentation(b *testing.B) { benchExactVsAug(b, false) }
 // ami49 stand-in.
 func BenchmarkExtensionAMI49(b *testing.B) { benchFloorplanSize(b, netlist.AMI49()) }
 
-// Warm-started dual simplex vs cold two-phase primal in branch and bound
-// (same fixed subproblem as the branching ablation).
-func benchWarmStart(b *testing.B, warm bool) {
-	d := netlist.Random(12, 99)
-	spec := &mipmodel.Spec{
-		ChipWidth: 80,
-		Obstacles: []geom.Rect{
-			geom.NewRect(0, 0, 30, 20), geom.NewRect(30, 0, 50, 12), geom.NewRect(30, 12, 20, 9),
-		},
-	}
-	for i := 0; i < 4; i++ {
-		spec.New = append(spec.New, mipmodel.NewModule{Index: i, Mod: &d.Modules[i]})
-	}
-	built, err := mipmodel.Build(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res := milp.Solve(built.Model, milp.Options{ColdStart: !warm, MaxNodes: 50000})
-		if res.X == nil {
-			b.Fatal("no solution")
-		}
-		b.ReportMetric(float64(res.LPIters), "lpiters")
-		if warm {
-			b.ReportMetric(float64(res.DualPivots), "dualpivots")
-			b.ReportMetric(float64(res.Refactorizations), "refactors")
-		}
-	}
-}
-
-func BenchmarkAblationWarmStartOn(b *testing.B)  { benchWarmStart(b, true) }
-func BenchmarkAblationWarmStartOff(b *testing.B) { benchWarmStart(b, false) }
-
 // --- Substrate micro-benchmarks -------------------------------------------
 
 func BenchmarkLPSolveMedium(b *testing.B) {

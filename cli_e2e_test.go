@@ -179,6 +179,43 @@ con cap <= 6 3 a 4 b 2 c 1 d
 	if !strings.Contains(out, "status: optimal") || !strings.Contains(out, "objective: 22") {
 		t.Fatalf("mipsolve output wrong:\n%s", out)
 	}
+
+	// General models whose costs favour infinite bounds.
+	for _, tc := range []struct {
+		name, model string
+		args        []string
+		want        []string
+	}{
+		{"textbook maximize LP", `maximize
+var x 0 inf 3
+var y 0 inf 5
+con c1 <= 4 1 x
+con c2 <= 12 2 y
+con c3 <= 18 3 x 2 y
+`, nil, []string{"status: optimal", "objective: 36"}},
+		{"unbounded", `var x 0 inf -1
+var y 0 inf 1
+con c <= 3 -1 x 1 y
+`, nil, []string{"status: unbounded"}},
+		// Backtracking relaxes branched integers back to an infinite upper
+		// bound; the optimum is 107/9, and a warm re-solve that stops at a
+		// suboptimal vertex reports 12.
+		{"relaxed integer bounds", `int x0 0 inf 3
+var x1 0 inf 5
+int x2 0 inf 4
+var x3 0 inf 3
+int x4 0 inf 3
+con c0 <= 2.3 -2.5 x0 -3.5 x2 -0.5 x4
+con c1 >= 13.3 3.5 x0 4.5 x1 4.5 x2 3.5 x4
+`, []string{"-workers", "1"}, []string{"status: optimal", "objective: 11.888"}},
+	} {
+		out := runCLI(t, "mipsolve", tc.model, tc.args...)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: output missing %q:\n%s", tc.name, want, out)
+			}
+		}
+	}
 }
 
 func TestCLIExperimentsFigures(t *testing.T) {

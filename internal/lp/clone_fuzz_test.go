@@ -15,7 +15,7 @@ type flipState struct {
 // TestIncrementalFuzzBoundFlips hammers one Incremental with hundreds of
 // random SetBounds flips — the exact write pattern branch and bound
 // produces — and checks after every flip that the warm-started solution
-// matches a fresh cold Problem.Solve within 1e-6. This is the guard for
+// matches the dense oracle within 1e-6. This is the guard for
 // the per-worker basis cloning of the parallel search: each worker's
 // Incremental sees an arbitrary interleaving of bound fixes and
 // relaxations, and must never drift from the true optimum.
@@ -65,7 +65,7 @@ func TestIncrementalFuzzBoundFlips(t *testing.T) {
 }
 
 // TestIncrementalCloneIndependence clones a warmed solver mid-sequence
-// and verifies (a) the clone immediately agrees with a cold solve, and
+// and verifies (a) the clone immediately agrees with the oracle, and
 // (b) further flips on either side never leak into the other — the
 // property the per-worker bases of the parallel branch and bound rely
 // on.
@@ -135,25 +135,20 @@ func TestIncrementalCloneIndependence(t *testing.T) {
 	}
 }
 
-// compareWarmCold solves both sides and requires agreement on status and
-// (at optimality) objective within 1e-6, plus primal feasibility of the
-// warm point.
+// compareWarmCold solves the warm side and the dense oracle and requires
+// agreement on status and (at optimality) objective within 1e-6, plus
+// primal feasibility of the warm point.
 func compareWarmCold(t *testing.T, trial, flip int, inc *Incremental, p *Problem) {
 	t.Helper()
 	warm, err := inc.Solve()
 	if err != nil {
 		t.Fatalf("trial %d flip %d: warm solve: %v", trial, flip, err)
 	}
-	cold, err := p.Solve()
-	if err != nil {
-		t.Fatalf("trial %d flip %d: cold solve: %v", trial, flip, err)
-	}
-	wOpt := warm.Status == StatusOptimal
-	cOpt := cold.Status == StatusOptimal
-	if wOpt != cOpt {
+	cold := oracleSolve(p)
+	if warm.Status != cold.Status {
 		t.Fatalf("trial %d flip %d: warm %v vs cold %v", trial, flip, warm.Status, cold.Status)
 	}
-	if !wOpt {
+	if warm.Status != StatusOptimal {
 		return
 	}
 	if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {

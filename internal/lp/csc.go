@@ -12,7 +12,7 @@ import "sort"
 // Problem (and the per-worker solver clones of the branch-and-bound
 // layer) share one instance; only structural edits — AddVariable,
 // AddConstraint, SetConstraint — invalidate it. Duplicate terms for the
-// same variable within a row are accumulated, matching the dense solver.
+// same variable within a row are accumulated.
 type compiled struct {
 	m, n int
 
@@ -31,8 +31,9 @@ type compiled struct {
 
 // Compile builds (or refreshes) the cached sparse form of the constraint
 // matrix. Model builders call it once after assembly so that every solver
-// clone shares the snapshot instead of re-scanning []Term rows; solves
-// compile lazily when the cache is missing or stale.
+// shares the snapshot instead of re-scanning []Term rows. Problem.Solve
+// compiles lazily when the cache is missing or stale; NewIncremental
+// then builds a private snapshot instead, so that it never writes to p.
 func (p *Problem) Compile() { p.compiled() }
 
 func (p *Problem) compiled() *compiled {

@@ -79,15 +79,12 @@ func TestIncrementalSolveCtxCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// A later solve with a live context must recover and agree with the
-	// cold solver (the tableau stays consistent across cancellation).
+	// oracle (the basis stays consistent across cancellation).
 	sol, err := inc.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := oracleSolve(p)
 	if sol.Status != StatusOptimal || cold.Status != StatusOptimal {
 		t.Fatalf("status %v / %v", sol.Status, cold.Status)
 	}

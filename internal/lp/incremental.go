@@ -9,26 +9,24 @@ import (
 	"afp/internal/obs"
 )
 
-// Incremental is a warm-startable LP solver for box-bounded problems,
-// built on the sparse revised simplex core. It keeps the basis
-// factorization alive between solves so that after variable bound
-// changes — the only modification branch and bound ever makes — the
-// previous optimal basis stays dual feasible and a handful of dual
-// simplex pivots restore primal feasibility, instead of a full cold
-// solve per node.
+// Incremental is the LP solver: the sparse revised dual simplex core
+// behind a warm-startable interface. It keeps the basis factorization
+// alive between solves so that after variable bound changes — the only
+// modification branch and bound ever makes — a handful of dual simplex
+// pivots repair the previous optimal basis, instead of a full cold
+// solve per node. Problem.Solve is a fresh Incremental solved once.
+//
+// A bound change keeps the basis dual feasible unless it removes the
+// finite bound that a column's favourable reduced cost rests on; the
+// next solve then runs the dual phase 1 first (see spxCore.phase1), as
+// does a first solve in which some column's cost favours an infinite
+// bound.
 //
 // All working storage (LU factors, eta file, pivot scratch, the
 // returned Solution and its X vector) is preallocated, so a steady-state
-// SetBounds+SolveCtxReuse cycle performs zero heap allocations.
-//
-// Requirements: every variable with a negative objective coefficient (in
-// minimize sense) must have a finite upper bound, and every variable with
-// a non-negative coefficient a finite lower bound, so that a dual-feasible
-// nonbasic point exists. Floorplanning subproblems satisfy this trivially
-// (all variables live in finite boxes). NewIncremental returns
-// ErrUnboundedColumn otherwise; callers fall back to Problem.SolveOpts.
+// SetBounds+SolveCtxReuse cycle on a problem that needs no phase 1
+// performs zero heap allocations.
 type Incremental struct {
-	p       *Problem
 	core    *spxCore
 	o       *obs.Observer
 	maxIter int
@@ -44,13 +42,10 @@ type Incremental struct {
 	dirtyMark []bool
 }
 
-// ErrUnboundedColumn reports that no dual-feasible starting point exists
-// because a favorable column has no finite bound to rest on.
-var ErrUnboundedColumn = fmt.Errorf("lp: incremental solver requires finite bounds on improving columns")
-
-// NewIncremental builds an incremental solver over a snapshot of p's
-// constraints and current bounds. Later bound changes are applied through
-// SetBounds, not through p.
+// NewIncremental builds a solver over a snapshot of p's constraints and
+// current bounds. Later bound changes are applied through SetBounds, not
+// through p. It never writes to p, so concurrent calls on one Problem are
+// safe: a stale compiled matrix is rebuilt privately rather than cached.
 func NewIncremental(p *Problem, opt Options) (*Incremental, error) {
 	if len(p.names) == 0 {
 		return nil, ErrBadModel
@@ -59,45 +54,17 @@ func NewIncremental(p *Problem, opt Options) (*Incremental, error) {
 	if maxIter <= 0 {
 		maxIter = defaultMaxIter
 	}
-	a := p.compiled()
-	n, m := a.n, a.m
-	sign := 1.0
-	if p.maximize {
-		sign = -1
+	a := p.comp
+	if a == nil || p.compVersion != p.version {
+		a = buildCompiled(p)
 	}
-	cost := make([]float64, n+m)
-	lb := make([]float64, n+m)
-	ub := make([]float64, n+m)
-	rhs := make([]float64, m)
-	for j := 0; j < n; j++ {
-		cost[j] = sign * p.obj[j]
-		lb[j] = p.lo[j]
-		ub[j] = p.hi[j]
-	}
-	for i := 0; i < m; i++ {
-		rhs[i] = p.rhs[i]
-		sj := n + i
-		switch p.ops[i] {
-		case LE:
-			lb[sj], ub[sj] = 0, math.Inf(1)
-		case GE:
-			lb[sj], ub[sj] = math.Inf(-1), 0
-		default:
-			lb[sj], ub[sj] = 0, 0
-		}
-	}
-	core := newSpxCore(a, sign, cost, rhs, lb, ub)
-	if !core.restAll() {
-		return nil, ErrUnboundedColumn
-	}
-	core.refactor()
-	inc := &Incremental{
-		p: p, core: core, o: opt.Obs, maxIter: maxIter,
+	n := a.n
+	return &Incremental{
+		core: newSpxCore(p, a), o: opt.Obs, maxIter: maxIter,
 		xbuf:      make([]float64, n),
 		dirty:     make([]int32, 0, n),
 		dirtyMark: make([]bool, n),
-	}
-	return inc, nil
+	}, nil
 }
 
 // SetBounds changes the bounds of structural variable v. The change is
@@ -122,34 +89,14 @@ func (inc *Incremental) SetBounds(v VarID, lo, hi float64) {
 }
 
 // refreshDirty re-rests every bound-changed nonbasic column inside its
-// new box, preferring the side it already sits on, and flips to the
-// opposite finite bound when the maintained reduced cost says the
-// current side is dual infeasible. Basic columns just acquire the new
-// box; the dual simplex repairs them.
+// new box, preferring the side it already rests on. Basic columns just
+// acquire the new box; the dual simplex repairs them.
 func (inc *Incremental) refreshDirty() {
 	c := inc.core
 	for _, j := range inc.dirty {
 		inc.dirtyMark[j] = false
-		if c.state[j] == inBasis {
-			continue
-		}
-		switch c.state[j] {
-		case atLower:
-			c.xval[j] = c.lb[j]
-		case atUpper:
-			if math.IsInf(c.ub[j], 1) {
-				c.state[j] = atLower
-				c.xval[j] = c.lb[j]
-			} else {
-				c.xval[j] = c.ub[j]
-			}
-		}
-		if c.state[j] == atLower && c.d[j] < -costTol && !math.IsInf(c.ub[j], 1) {
-			c.state[j] = atUpper
-			c.xval[j] = c.ub[j]
-		} else if c.state[j] == atUpper && c.d[j] > costTol {
-			c.state[j] = atLower
-			c.xval[j] = c.lb[j]
+		if c.state[j] != inBasis {
+			c.rest(int(j), c.state[j])
 		}
 	}
 	inc.dirty = inc.dirty[:0]
@@ -168,13 +115,14 @@ func (inc *Incremental) Clone() *Incremental {
 		a: c.a, m: c.m, n: c.n, ncols: c.ncols, sign: c.sign,
 		cost: c.cost, rhs: c.rhs, // shared, never written after construction
 
-		lb:    append([]float64(nil), c.lb...),
-		ub:    append([]float64(nil), c.ub...),
-		state: append([]varState(nil), c.state...),
-		xval:  append([]float64(nil), c.xval...),
-		basis: append([]int32(nil), c.basis...),
-		beta:  append([]float64(nil), c.beta...),
-		d:     append([]float64(nil), c.d...),
+		lb:      append([]float64(nil), c.lb...),
+		ub:      append([]float64(nil), c.ub...),
+		state:   append([]varState(nil), c.state...),
+		xval:    append([]float64(nil), c.xval...),
+		basis:   append([]int32(nil), c.basis...),
+		beta:    append([]float64(nil), c.beta...),
+		d:       append([]float64(nil), c.d...),
+		dualInf: c.dualInf,
 
 		rho:     make([]float64, c.m),
 		erow:    make([]float64, c.m),
@@ -190,24 +138,24 @@ func (inc *Incremental) Clone() *Incremental {
 	}
 	nc.etas.reset()
 	return &Incremental{
-		p: inc.p, core: nc, o: inc.o, maxIter: inc.maxIter, solves: inc.solves,
+		core: nc, o: inc.o, maxIter: inc.maxIter, solves: inc.solves,
 		xbuf:      make([]float64, c.n),
 		dirty:     append(make([]int32, 0, c.n), inc.dirty...),
 		dirtyMark: append([]bool(nil), inc.dirtyMark...),
 	}
 }
 
-// Solve restores primal feasibility by dual simplex pivots and returns
-// the optimum. The returned solution shares no state with the solver.
+// Solve solves the LP at the current bounds. The returned solution
+// shares no state with the solver.
 func (inc *Incremental) Solve() (*Solution, error) {
 	return inc.SolveCtx(context.Background())
 }
 
 // SolveCtx is Solve under a context: the dual simplex loop polls
 // ctx.Done() every few pivots and aborts with ctx.Err(). The basis is
-// left in a consistent (dual feasible) state, so a later SolveCtx with a
-// live context resumes the repair. The returned solution shares no
-// state with the solver.
+// left in a consistent state, so a later SolveCtx with a live context
+// resumes the repair. The returned solution shares no state with the
+// solver and, at StatusOptimal, carries Duals and ReducedCosts.
 func (inc *Incremental) SolveCtx(ctx context.Context) (*Solution, error) {
 	sol, err := inc.SolveCtxReuse(ctx)
 	if err != nil {
@@ -216,13 +164,17 @@ func (inc *Incremental) SolveCtx(ctx context.Context) (*Solution, error) {
 	out := new(Solution)
 	*out = *sol
 	out.X = append([]float64(nil), sol.X...)
+	if sol.Status == StatusOptimal {
+		out.Duals, out.ReducedCosts = inc.core.duals()
+	}
 	return out, nil
 }
 
 // SolveCtxReuse is SolveCtx for the hot path: the returned Solution and
 // its X vector are owned by the solver and overwritten by the next
-// SolveCtxReuse call. Steady-state calls perform no heap allocations;
-// callers that keep values across solves must copy them first.
+// SolveCtxReuse call, and Duals and ReducedCosts are left nil.
+// Steady-state calls perform no heap allocations; callers that keep
+// values across solves must copy them first.
 func (inc *Incremental) SolveCtxReuse(ctx context.Context) (*Solution, error) {
 	start := time.Now()
 	c := inc.core
@@ -240,8 +192,7 @@ func (inc *Incremental) SolveCtxReuse(ctx context.Context) (*Solution, error) {
 		c.refactor()
 	}
 	inc.refreshDirty()
-	c.computeBeta()
-	st := c.dualLoop(inc.maxIter)
+	st := c.solve(inc.maxIter)
 	if c.cancelled {
 		return nil, ctx.Err()
 	}
@@ -249,6 +200,7 @@ func (inc *Incremental) SolveCtxReuse(ctx context.Context) (*Solution, error) {
 	*sol = Solution{
 		Status:           st,
 		Iterations:       c.iters,
+		Phase1Iterations: c.phase1Iters,
 		DegeneratePivots: c.degenPivots,
 		DualPivots:       c.iters,
 		Refactorizations: c.refactors,
@@ -265,9 +217,10 @@ func (inc *Incremental) SolveCtxReuse(ctx context.Context) (*Solution, error) {
 	if inc.o.Enabled() {
 		inc.o.Emit(obs.Event{
 			Kind: obs.KindLPSolve, Status: st.String(), Obj: sol.Objective,
-			Iters: sol.Iterations, Degenerate: sol.DegeneratePivots,
+			Iters: sol.Iterations, Phase1Iters: sol.Phase1Iterations,
+			Degenerate: sol.DegeneratePivots,
 			DualPivots: sol.DualPivots, Refactors: sol.Refactorizations,
-			DurUS: time.Since(start).Microseconds(), Warm: true,
+			DurUS: time.Since(start).Microseconds(), Warm: inc.solves > 1,
 			Span: obs.SpanID(ctx),
 		})
 	}

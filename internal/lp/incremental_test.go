@@ -47,6 +47,7 @@ func buildBoxLP(rng *rand.Rand) *Problem {
 	return p
 }
 
+// A fresh Incremental's first solve must match the dense oracle.
 func TestIncrementalMatchesColdSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 150; trial++ {
@@ -59,11 +60,8 @@ func TestIncrementalMatchesColdSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := p.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (warm.Status == StatusOptimal) != (cold.Status == StatusOptimal) {
+		cold := oracleSolve(p)
+		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: warm %v vs cold %v", trial, warm.Status, cold.Status)
 		}
 		if warm.Status != StatusOptimal {
@@ -79,8 +77,8 @@ func TestIncrementalMatchesColdSolve(t *testing.T) {
 }
 
 // The heart of the warm-start claim: after random bound tightenings and
-// relaxations, the incremental solver must keep agreeing with cold
-// re-solves.
+// relaxations, the incremental solver must keep agreeing with the dense
+// oracle.
 func TestIncrementalBoundChangeSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 60; trial++ {
@@ -119,16 +117,11 @@ func TestIncrementalBoundChangeSequences(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := p.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wOpt := warm.Status == StatusOptimal
-			cOpt := cold.Status == StatusOptimal
-			if wOpt != cOpt {
+			cold := oracleSolve(p)
+			if warm.Status != cold.Status {
 				t.Fatalf("trial %d step %d: warm %v vs cold %v", trial, step, warm.Status, cold.Status)
 			}
-			if !wOpt {
+			if warm.Status != StatusOptimal {
 				continue
 			}
 			if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
@@ -141,11 +134,132 @@ func TestIncrementalBoundChangeSequences(t *testing.T) {
 	}
 }
 
-func TestIncrementalRejectsUnboundedColumns(t *testing.T) {
+// TestIncrementalUnboundedColumnsMatchOracle walks one solver through a
+// column whose cost favours an infinite upper bound: unbounded at first
+// (phase 1 proves the dual infeasible and the zero-cost run finds a
+// feasible point), optimal once SetBounds gives the column a finite
+// upper bound, unbounded again once the bound is removed, and
+// infeasible when a row excludes every point. Every solve must agree
+// with the dense oracle.
+func TestIncrementalUnboundedColumnsMatchOracle(t *testing.T) {
 	p := NewProblem()
-	p.AddVariable("x", 0, math.Inf(1), -1) // improving direction unbounded
-	if _, err := NewIncremental(p, Options{}); err == nil {
-		t.Fatal("expected ErrUnboundedColumn")
+	x := p.AddVariable("x", 0, math.Inf(1), -1) // improving direction unbounded
+	y := p.AddVariable("y", 0, 3, 1)
+	p.AddConstraint("link", []Term{{x, 1}, {y, -1}}, GE, -2)
+	inc, err := NewIncremental(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, b := range []struct {
+		v      VarID
+		lo, hi float64
+		want   Status
+	}{
+		{x, 0, math.Inf(1), StatusUnbounded},
+		{x, 0, 5, StatusOptimal},
+		{x, 0, math.Inf(1), StatusUnbounded},
+		{x, 1, 4, StatusOptimal},
+		{y, 3, 3, StatusOptimal},
+		{x, 0, math.Inf(1), StatusUnbounded},
+	} {
+		inc.SetBounds(b.v, b.lo, b.hi)
+		p.SetBounds(b.v, b.lo, b.hi)
+		got, err := inc.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleSolve(p)
+		if got.Status != b.want || want.Status != b.want {
+			t.Fatalf("step %d: warm %v, oracle %v, want %v", step, got.Status, want.Status, b.want)
+		}
+		if got.Status == StatusOptimal && math.Abs(got.Objective-want.Objective) > 1e-9 {
+			t.Fatalf("step %d: warm obj %v vs oracle %v", step, got.Objective, want.Objective)
+		}
+	}
+	// A row no point satisfies makes the problem infeasible even though
+	// the dual is still infeasible too.
+	q := p.Clone()
+	q.AddConstraint("cap", []Term{{x, 1}}, LE, -1)
+	got, err := q.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleSolve(q); got.Status != StatusInfeasible || want.Status != StatusInfeasible {
+		t.Fatalf("engine %v, oracle %v, want infeasible", got.Status, want.Status)
+	}
+}
+
+// TestIncrementalRelaxToInfFuzz warm-re-solves random LPs while
+// SetBounds tightens, fixes, restores and relaxes upper bounds to +Inf
+// — the bound patterns a branch and bound over unbounded integers makes
+// — and requires every solve to agree with the dense oracle. Relaxing a
+// column that rests on its upper bound with a negative reduced cost
+// leaves it no dual-feasible rest; that solve must go through phase 1
+// instead of stopping at a suboptimal vertex reported as optimal. Half
+// the trials start from box LPs, half from general ones that need phase
+// 1 (or end unbounded or infeasible) before any bound changes.
+func TestIncrementalRelaxToInfFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	solves := 0
+	for trial := 0; trial < 200; trial++ {
+		p := buildBoxLP(rng)
+		if trial%2 == 1 {
+			p = buildGeneralLP(rng)
+		}
+		inc, err := NewIncremental(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nv := p.NumVariables()
+		origLo := make([]float64, nv)
+		origHi := make([]float64, nv)
+		for j := 0; j < nv; j++ {
+			origLo[j], origHi[j] = p.Bounds(VarID(j))
+		}
+		for step := 0; step < 60; step++ {
+			j := VarID(rng.Intn(nv))
+			lo, hi := origLo[j], origHi[j]
+			top := hi // a finite stand-in for an infinite upper bound
+			if math.IsInf(top, 1) {
+				top = lo + 6
+			}
+			switch rng.Intn(4) {
+			case 0: // fix at a bound
+				if rng.Intn(2) == 0 {
+					hi = lo
+				} else {
+					lo, hi = top, top
+				}
+			case 1: // tighten to a random subrange
+				a := lo + (top-lo)*rng.Float64()
+				lo, hi = a, a+(top-a)*rng.Float64()
+			case 2: // relax the upper bound away
+				lo, hi = lo+float64(rng.Intn(2)), math.Inf(1)
+			}
+			inc.SetBounds(j, lo, hi)
+			p.SetBounds(j, lo, hi)
+			warm, err := inc.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			solves++
+			cold := oracleSolve(p)
+			if warm.Status != cold.Status {
+				t.Fatalf("trial %d step %d: warm %v vs oracle %v", trial, step, warm.Status, cold.Status)
+			}
+			if warm.Status != StatusOptimal {
+				continue
+			}
+			if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+				t.Fatalf("trial %d step %d: warm obj %v vs oracle %v", trial, step, warm.Objective, cold.Objective)
+			}
+			if v := p.MaxViolation(warm.X); v > 1e-6 {
+				t.Fatalf("trial %d step %d: warm point violates by %v", trial, step, v)
+			}
+		}
+	}
+	if solves != 12000 {
+		t.Fatalf("%d solves, want 12000", solves)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package lp implements bounded-variable simplex solvers for linear
+// Package lp implements a bounded-variable simplex solver for linear
 // programs
 //
 //	minimize    c'x
@@ -11,20 +11,18 @@
 // instances and the 0-1 variables are handled by the branch-and-bound
 // layer in package milp.
 //
-// Two engines share the Problem model. The primary one is a sparse
-// revised simplex (CSC constraint matrix, LU-factorized basis with
-// product-form eta updates, BTRAN/FTRAN pricing) running a
-// bounded-variable dual simplex from a dual-feasible rest point; it
-// serves every problem whose improving columns have finite bounds —
-// all floorplanning subproblems — both cold and warm through
-// Incremental. Problems outside that class (a negative-cost column
-// with an infinite upper bound) fall back to the dense full-tableau
-// two-phase primal simplex with Dantzig pricing and a Bland
-// anti-cycling guard, which is also the differential-test oracle for
-// the sparse kernel (build tag lpdense forces it everywhere). All
-// variables must have a finite lower bound, which every floorplanning
-// variable naturally has (coordinates and heights are non-negative,
-// binaries live in [0,1]).
+// There is one engine: a sparse revised dual simplex (CSC constraint
+// matrix, LU-factorized basis with product-form eta updates,
+// BTRAN/FTRAN pricing) with bounded variables. It starts from a
+// dual-feasible rest of every nonbasic column on one of its bounds; when
+// some column's cost favours a bound that is infinite, a dual phase 1
+// first finds a dual-feasible basis or proves the problem unbounded or
+// infeasible. Incremental exposes it warm-started across bound changes,
+// and Problem.Solve is a fresh Incremental solved once. All variables
+// must have a finite lower bound, which every floorplanning variable
+// naturally has (coordinates and heights are non-negative, binaries live
+// in [0,1]). The package tests keep a dense two-phase tableau simplex as
+// the differential oracle.
 package lp
 
 import (
@@ -188,8 +186,8 @@ func (p *Problem) SetConstraint(c ConID, terms []Term, op Op, rhs float64) {
 	p.version++
 }
 
-// Clone returns a deep copy of the problem. Branch-and-bound nodes clone
-// the relaxation before tightening variable bounds.
+// Clone returns a deep copy of the problem. The milp presolve clones the
+// relaxation before tightening its bounds.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{
 		names:    append([]string(nil), p.names...),
@@ -287,19 +285,17 @@ type Solution struct {
 	X          []float64 // one value per variable, in AddVariable order
 	Iterations int       // simplex pivots performed (both phases)
 
-	// Phase1Iterations is the share of Iterations spent restoring
-	// feasibility (zero for warm-started dual-simplex solves).
+	// Phase1Iterations is the share of Iterations spent in the dual
+	// phase 1, which runs only when some column's reduced cost favours an
+	// infinite bound.
 	Phase1Iterations int
 	// DegeneratePivots counts pivots with zero step length.
 	DegeneratePivots int
-	// BoundFlips counts pivots where the entering variable traversed its
-	// whole range without a basis change.
-	BoundFlips int
-	// DualPivots counts dual simplex pivots (all of Iterations on the
-	// sparse revised path; zero on the dense primal path).
+	// DualPivots counts dual simplex pivots: all of Iterations.
 	DualPivots int
-	// Refactorizations counts basis LU refactorizations performed by the
-	// sparse revised simplex during this solve.
+	// Refactorizations counts basis LU refactorizations performed during
+	// this solve (not the factorization of the slack basis that
+	// NewIncremental starts from).
 	Refactorizations int
 
 	// Duals holds one dual value per constraint (in AddConstraint order)
@@ -320,12 +316,12 @@ func (s *Solution) Value(v VarID) float64 { return s.X[v] }
 
 // Options tunes the solver.
 type Options struct {
-	// MaxIter bounds the total number of simplex pivots (both phases).
-	// Zero means the default of 50000.
+	// MaxIter bounds the total number of simplex pivots of one solve
+	// (phase 1 included). Zero means the default of 50000.
 	MaxIter int
 	// Obs receives one lp.solve event per solve with iteration, pivot and
-	// phase-timing telemetry. Nil (the default) disables instrumentation
-	// at no cost.
+	// timing telemetry. Nil (the default) disables instrumentation at no
+	// cost.
 	Obs *obs.Observer
 }
 
@@ -345,20 +341,56 @@ func (p *Problem) SolveOpts(opt Options) (*Solution, error) {
 // SolveCtx is SolveOpts under a context: the simplex loop polls
 // ctx.Done() every few pivots and aborts with ctx.Err() when the context
 // is cancelled or its deadline passes. A context without a Done channel
-// (context.Background()) costs nothing on the pivot path.
-//
-// Problems whose improving columns all have finite bounds — every
-// floorplanning subproblem — are solved by the sparse revised dual
-// simplex; the rest (and all solves under the lpdense build tag) go
-// through the dense two-phase primal simplex.
+// (context.Background()) costs nothing on the pivot path. It is
+// NewIncremental plus one solve; the compiled constraint matrix is
+// cached on p so that repeated solves share it.
 func (p *Problem) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
-	if len(p.names) == 0 {
-		return nil, ErrBadModel
+	p.Compile()
+	inc, err := NewIncremental(p, opt)
+	if err != nil {
+		return nil, err
 	}
-	if sparseSolvable(p) {
-		if sol, err, ok := solveSparse(ctx, p, opt); ok {
-			return sol, err
+	return inc.SolveCtx(ctx)
+}
+
+// Residual returns the violation of constraint i at point x (positive
+// means violated), useful for verification in tests.
+func (p *Problem) Residual(i ConID, x []float64) float64 {
+	var lhs float64
+	for _, t := range p.rows[i] {
+		lhs += t.Coef * x[t.Var]
+	}
+	switch p.ops[i] {
+	case LE:
+		return lhs - p.rhs[i]
+	case GE:
+		return p.rhs[i] - lhs
+	default:
+		return math.Abs(lhs - p.rhs[i])
+	}
+}
+
+// MaxViolation returns the largest constraint or bound violation of x.
+func (p *Problem) MaxViolation(x []float64) float64 {
+	var worst float64
+	for i := range p.rows {
+		if r := p.Residual(ConID(i), x); r > worst {
+			worst = r
 		}
 	}
-	return solveSimplex(ctx, p, opt)
+	for j := range p.lo {
+		if d := p.lo[j] - x[j]; d > worst {
+			worst = d
+		}
+		if d := x[j] - p.hi[j]; d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// String summarizes the problem dimensions.
+func (p *Problem) String() string {
+	return fmt.Sprintf("lp.Problem{vars: %d, cons: %d, maximize: %v}",
+		len(p.names), len(p.rows), p.maximize)
 }

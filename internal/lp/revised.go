@@ -1,12 +1,26 @@
 package lp
 
 import (
-	"context"
 	"math"
-	"time"
-
-	"afp/internal/obs"
 )
+
+// Numerical tolerances of the simplex engine. Floorplanning models have
+// coefficients of magnitude 1..1e4 (big-M terms are chip dimensions), for
+// which these defaults are comfortable.
+const (
+	pivTol  = 1e-9 // smallest acceptable pivot element
+	costTol = 1e-7 // reduced-cost optimality tolerance
+	feasTol = 1e-6 // bound excursion clamped away when extracting a point
+	zeroTol = 1e-9 // ratio-test degeneracy tolerance
+)
+
+const defaultMaxIter = 50000
+
+// cancelPollMask throttles context polling on the pivot loop: the Done
+// channel is inspected every 64 pivots, keeping cancellation latency
+// well below a millisecond at floorplanning problem sizes while adding
+// nothing measurable to the per-pivot cost.
+const cancelPollMask = 63
 
 // Sparse revised simplex tolerances and policy knobs.
 const (
@@ -26,6 +40,15 @@ const (
 	// instances. Perturbations stay far below costTol and are washed out
 	// by the next refactorization's exact recompute of the duals.
 	perturbAfterDegen = 2000
+)
+
+// varState describes where a column currently rests.
+type varState int8
+
+const (
+	atLower varState = iota
+	atUpper
+	inBasis
 )
 
 // spxCore is the sparse revised dual simplex over a compiled constraint
@@ -53,6 +76,14 @@ type spxCore struct {
 	beta   []float64  // basic values, by basis position
 	d      []float64  // reduced costs, maintained across pivots
 
+	// dualInf records that some nonbasic column rests on its finite side
+	// while its reduced cost favours the infinite one, so the rest is not
+	// dual feasible and solve must run phase 1 first.
+	dualInf bool
+	// aux is phase 1's storage (auxiliary bounds, zero right-hand side
+	// and zero costs), allocated the first time phase 1 runs.
+	aux []float64
+
 	lu   luFactor
 	etas etaFile
 
@@ -69,6 +100,7 @@ type spxCore struct {
 
 	// Counters for the current solve.
 	iters        int
+	phase1Iters  int
 	degenPivots  int
 	refactors    int
 	degenStreak  int
@@ -80,13 +112,17 @@ type spxCore struct {
 	cancelled bool
 }
 
-// newSpxCore builds a core over the compiled matrix with the given
-// per-column data already split out by the caller.
-func newSpxCore(a *compiled, sign float64, cost, rhs, lb, ub []float64) *spxCore {
+// newSpxCore builds a core over p's compiled matrix a with the all-slack
+// basis installed and factorized and every structural column rested by
+// its cost.
+func newSpxCore(p *Problem, a *compiled) *spxCore {
 	m, n := a.m, a.n
 	c := &spxCore{
-		a: a, m: m, n: n, ncols: n + m, sign: sign,
-		cost: cost, rhs: rhs, lb: lb, ub: ub,
+		a: a, m: m, n: n, ncols: n + m, sign: 1,
+		cost:  make([]float64, n+m),
+		rhs:   append([]float64(nil), p.rhs...),
+		lb:    make([]float64, n+m),
+		ub:    make([]float64, n+m),
 		state: make([]varState, n+m),
 		xval:  make([]float64, n+m),
 		basis: make([]int32, m),
@@ -101,63 +137,100 @@ func newSpxCore(a *compiled, sign float64, cost, rhs, lb, ub []float64) *spxCore
 		touched: make([]int32, 0, n+m),
 		amark:   make([]bool, n+m),
 	}
-	c.etas.reset()
+	if p.maximize {
+		c.sign = -1
+	}
+	for j := 0; j < n; j++ {
+		c.cost[j] = c.sign * p.obj[j]
+		c.lb[j], c.ub[j] = p.lo[j], p.hi[j]
+	}
+	for i := 0; i < m; i++ {
+		sj := n + i
+		switch p.ops[i] {
+		case LE:
+			c.lb[sj], c.ub[sj] = 0, math.Inf(1)
+		case GE:
+			c.lb[sj], c.ub[sj] = math.Inf(-1), 0
+		default:
+			c.lb[sj], c.ub[sj] = 0, 0
+		}
+		c.basis[i] = int32(sj)
+		c.state[sj] = inBasis
+	}
+	// Every basic column is a slack of cost zero, so the duals are zero
+	// and each reduced cost is the column's cost.
+	copy(c.d, c.cost)
+	for j := 0; j < n; j++ {
+		c.rest(j, costSide(c.cost[j]))
+	}
+	c.refactor()
 	return c
 }
 
-// restAll places every column on a dual-feasible finite bound and
-// installs the all-slack basis. Returns false when some column with a
-// strictly negative cost has no finite upper bound to rest on — the
-// caller falls back to the dense two-phase solver.
-func (c *spxCore) restAll() bool {
-	for j := 0; j < c.ncols; j++ {
-		if !c.restColumn(j) {
-			return false
-		}
+// costSide is the side a column leaving the basis is offered first: the
+// one its cost favours, the lower one on a tie.
+func costSide(cost float64) varState {
+	if cost < 0 {
+		return atUpper
 	}
-	for i := 0; i < c.m; i++ {
-		sj := int32(c.n + i)
-		c.basis[i] = sj
-		c.state[sj] = inBasis
-	}
-	c.needRefactor = true
-	return true
+	return atLower
 }
 
-// restColumn mirrors the dense solver's dual-feasible rest rule.
-func (c *spxCore) restColumn(j int) bool {
-	cj := c.cost[j]
+// rest places nonbasic column j on a bound. The dual simplex needs every
+// rest dual feasible: a reduced cost above costTol rests the column on
+// its lower bound, one below -costTol on its upper bound, and a reduced
+// cost within costTol leaves the choice to side. When the chosen bound is
+// infinite the column rests on its other bound instead, and if its
+// reduced cost favoured the infinite one the rest is dual infeasible:
+// rest records that in dualInf for phase 1 to repair. This is the only
+// routine that rests a column.
+func (c *spxCore) rest(j int, side varState) {
+	dj := c.d[j]
 	switch {
-	case cj >= 0 && !math.IsInf(c.lb[j], -1):
-		c.state[j] = atLower
-		c.xval[j] = c.lb[j]
-	case cj <= 0 && !math.IsInf(c.ub[j], 1):
-		c.state[j] = atUpper
-		c.xval[j] = c.ub[j]
-	default:
-		return false
+	case dj > costTol:
+		side = atLower
+	case dj < -costTol:
+		side = atUpper
 	}
-	return true
+	if side == atLower && math.IsInf(c.lb[j], -1) {
+		side = atUpper
+		c.dualInf = c.dualInf || dj > costTol
+	} else if side == atUpper && math.IsInf(c.ub[j], 1) {
+		side = atLower
+		c.dualInf = c.dualInf || dj < -costTol
+	}
+	c.state[j] = side
+	if side == atLower {
+		c.xval[j] = c.lb[j]
+	} else {
+		c.xval[j] = c.ub[j]
+	}
+}
+
+// restAll re-rests every nonbasic column, preferring the side it already
+// rests on, and recomputes dualInf from scratch.
+func (c *spxCore) restAll() {
+	c.dualInf = false
+	for j := 0; j < c.ncols; j++ {
+		if c.state[j] != inBasis {
+			c.rest(j, c.state[j])
+		}
+	}
 }
 
 // refactor rebuilds the LU factorization of the current basis, resets
 // the eta file and recomputes the reduced costs exactly. A singular
-// basis falls back to the all-slack basis (which always factors).
+// basis is replaced by the all-slack basis (which always factors), and
+// every nonbasic column is then re-rested against its new reduced cost;
+// a rest that comes out dual infeasible leaves dualInf set, and solve
+// runs phase 1 before it pivots on.
 func (c *spxCore) refactor() {
 	c.refactors++
-	if err := c.lu.factorBasis(c.a, c.basis, c.n); err != nil {
-		// Numerically singular basis: drop it entirely and restart from
-		// the all-slack basis, re-resting every displaced column. A rest
-		// rule failure (negative cost, infinite upper bound on a basic
-		// column) cannot happen on the paths that reach here — restAll
-		// succeeded at construction — but rest at the finite lower bound
-		// as a last resort rather than corrupt the state.
+	singular := c.lu.factorBasis(c.a, c.basis, c.n) != nil
+	if singular {
 		for i := 0; i < c.m; i++ {
 			b := c.basis[i]
-			if !c.restColumn(int(b)) {
-				c.state[b] = atLower
-				c.xval[b] = c.lb[b]
-			}
+			c.state[b] = costSide(c.cost[b])
 		}
 		for i := 0; i < c.m; i++ {
 			sj := int32(c.n + i)
@@ -170,6 +243,9 @@ func (c *spxCore) refactor() {
 	}
 	c.etas.reset()
 	c.computeDuals()
+	if singular {
+		c.restAll()
+	}
 	c.needRefactor = false
 	c.perturbed = false
 }
@@ -256,13 +332,105 @@ func (c *spxCore) scatterColumn(j int) {
 	}
 }
 
-// dualLoop pivots until every basic value lies inside its box. It
-// assumes beta and d are consistent with the current basis. maxIter
-// bounds the pivots of this call.
-func (c *spxCore) dualLoop(maxIter int) Status {
-	c.iters = 0
-	c.degenPivots = 0
+// solve runs the dual simplex from the current rest to a final status,
+// running phase 1 first whenever the rest is not dual feasible. It
+// assumes d is consistent with the factorized basis and computes beta
+// itself. maxIter bounds the pivots of both phases together.
+func (c *spxCore) solve(maxIter int) Status {
+	c.iters, c.phase1Iters, c.degenPivots = 0, 0, 0
 	c.cancelled = false
+	c.computeBeta()
+	for {
+		if c.dualInf {
+			start := c.iters
+			st, ok := c.phase1(maxIter)
+			c.phase1Iters += c.iters - start
+			if !ok {
+				return st
+			}
+		}
+		st := c.dualLoop(maxIter)
+		if !c.dualInf {
+			return st
+		}
+		// A singular basis was reset mid-loop and left a rest dual
+		// infeasible: repair it and carry on.
+	}
+}
+
+// phase1 makes the rest dual feasible. It runs the dual loop on an
+// auxiliary problem with the same costs, a zero right-hand side and the
+// bounds [0,1] on a column whose lower bound alone is finite, [-1,0] on
+// one whose upper bound alone is, and [0,0] on one with both. Those
+// bounds are finite, so every rest is dual feasible and x = 0 is
+// feasible: the loop ends at an optimum, whose value is minus the least
+// total dual infeasibility of any basis. At a zero optimum every column
+// rests dual feasibly on its true bounds, and phase1 reports ok with
+// beta recomputed for phase 2. A negative optimum proves the dual
+// infeasible, so the problem is unbounded if it has a feasible point and
+// infeasible otherwise; one more run of the loop with zero costs, where
+// every rest is dual feasible, tells which, and that is the status
+// phase1 returns.
+func (c *spxCore) phase1(maxIter int) (Status, bool) {
+	if c.aux == nil {
+		c.aux = make([]float64, 3*c.ncols+c.m)
+	}
+	lb, ub, rhs, cost := c.lb, c.ub, c.rhs, c.cost
+	alb, aub := c.aux[:c.ncols], c.aux[c.ncols:2*c.ncols]
+	zeroCost, zeroRHS := c.aux[2*c.ncols:3*c.ncols], c.aux[3*c.ncols:]
+	for j := range alb {
+		alb[j], aub[j] = 0, 0
+		if math.IsInf(lb[j], -1) {
+			alb[j] = -1
+		}
+		if math.IsInf(ub[j], 1) {
+			aub[j] = 1
+		}
+	}
+	c.lb, c.ub, c.rhs = alb, aub, zeroRHS
+	c.restAll()
+	c.computeBeta()
+	st := c.dualLoop(maxIter)
+	c.lb, c.ub, c.rhs = lb, ub, rhs
+	c.restAll()
+	c.computeBeta()
+	if st != StatusOptimal {
+		// The auxiliary problem is feasible and bounded, so the loop
+		// stopped at the iteration limit, on cancellation or stuck.
+		return StatusIterLimit, false
+	}
+	if !c.dualInf {
+		return StatusOptimal, true
+	}
+
+	// Dual infeasible. With zero costs d is zero, every rest is dual
+	// feasible, and the loop ends optimal exactly when a feasible point
+	// exists.
+	c.cost = zeroCost
+	for j := range c.d {
+		c.d[j] = 0
+	}
+	c.restAll()
+	st = c.dualLoop(maxIter)
+	c.cost = cost
+	c.computeDuals()
+	c.restAll()
+	c.computeBeta()
+	switch st {
+	case StatusOptimal:
+		return StatusUnbounded, false
+	case StatusInfeasible:
+		return StatusInfeasible, false
+	}
+	return StatusIterLimit, false
+}
+
+// dualLoop pivots until every basic value lies inside its box. It
+// assumes beta and d are consistent with the current basis and the rest
+// dual feasible, and returns early when a singular-basis reset leaves a
+// rest dual infeasible (dualInf), which solve repairs. maxIter bounds
+// the pivots of the whole solve.
+func (c *spxCore) dualLoop(maxIter int) Status {
 	for {
 		if c.iters >= maxIter {
 			return StatusIterLimit
@@ -278,6 +446,9 @@ func (c *spxCore) dualLoop(maxIter int) Status {
 		if c.etas.count() >= maxEtas {
 			c.refactor()
 			c.computeBeta()
+		}
+		if c.dualInf {
+			return StatusIterLimit
 		}
 
 		// Leaving choice: most violated basic variable.
@@ -319,9 +490,8 @@ const (
 )
 
 // dualPivot performs one dual simplex pivot on basis row r. The ratio
-// test is the dense solver's, with the leaving row alpha = rho'A
-// scattered from the CSR rows that rho touches instead of read from a
-// tableau.
+// test reads the leaving row alpha = rho'A scattered from the CSR rows
+// that rho touches.
 func (c *spxCore) dualPivot(r int, needIncrease bool) pivotResult {
 	// rho = B^{-T} e_r, then alpha_j = rho'a_j over nonbasic columns.
 	for i := 0; i < c.m; i++ {
@@ -534,8 +704,8 @@ func perturbation(j int, st varState) float64 {
 	return e
 }
 
-// extractX writes the primal point into x (length n), clamping tiny
-// bound excursions the way the dense solver's extract does.
+// extractX writes the primal point into x (length n), clamping bound
+// excursions below feasTol back onto the bound.
 func (c *spxCore) extractX(x []float64) {
 	for j := 0; j < c.n; j++ {
 		if c.state[j] != inBasis {
@@ -558,127 +728,32 @@ func (c *spxCore) extractX(x []float64) {
 	}
 }
 
-// sparseSolvable reports whether the problem admits a dual-feasible
-// all-nonbasic rest: every column with a strictly negative minimize-
-// sense cost needs a finite upper bound (lower bounds are always finite
-// in this package).
-func sparseSolvable(p *Problem) bool {
-	if forceDense {
-		return false
+// duals returns the row duals and the structural reduced costs of the
+// current basis in the problem's own objective sense. They are computed
+// afresh through the factors, so pivot-to-pivot drift in the maintained
+// d never reaches callers, and d itself is left untouched.
+func (c *spxCore) duals() (duals, reduced []float64) {
+	for i := 0; i < c.m; i++ {
+		c.erow[i] = c.cost[c.basis[i]]
 	}
-	sign := 1.0
-	if p.maximize {
-		sign = -1
-	}
-	for j := range p.obj {
-		if sign*p.obj[j] < 0 && math.IsInf(p.hi[j], 1) {
-			return false
+	c.btranFull(c.erow, c.work)
+	y := c.work
+	duals = make([]float64, c.m)
+	for i, yi := range y {
+		if yi != 0 { // leave zeros positive: -1*0 would print as -0
+			duals[i] = c.sign * yi
 		}
 	}
-	return true
-}
-
-// solveSparse is the cold solve on the revised simplex: rest every
-// column dual-feasibly, start from the all-slack basis and run the dual
-// simplex to optimality. Returns ok=false when no dual-feasible rest
-// exists and the caller should use the dense two-phase solver.
-func solveSparse(ctx context.Context, p *Problem, opt Options) (*Solution, error, bool) {
-	start := time.Now()
-	a := p.compiled()
-	sign := 1.0
-	if p.maximize {
-		sign = -1
-	}
-	n, m := a.n, a.m
-	cost := make([]float64, n+m)
-	lb := make([]float64, n+m)
-	ub := make([]float64, n+m)
-	rhs := make([]float64, m)
-	for j := 0; j < n; j++ {
-		cost[j] = sign * p.obj[j]
-		lb[j] = p.lo[j]
-		ub[j] = p.hi[j]
-	}
-	for i := 0; i < m; i++ {
-		rhs[i] = p.rhs[i]
-		sj := n + i
-		switch p.ops[i] {
-		case LE:
-			lb[sj], ub[sj] = 0, math.Inf(1)
-		case GE:
-			lb[sj], ub[sj] = math.Inf(-1), 0
-		default:
-			lb[sj], ub[sj] = 0, 0
+	reduced = make([]float64, c.n)
+	for j := range reduced {
+		if c.state[j] == inBasis {
+			continue
 		}
-	}
-	c := newSpxCore(a, sign, cost, rhs, lb, ub)
-	if !c.restAll() {
-		return nil, nil, false
-	}
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = defaultMaxIter
-	}
-	c.done = ctx.Done()
-	if c.done != nil {
-		select {
-		case <-c.done:
-			return nil, ctx.Err(), true
-		default:
+		dj := c.cost[j]
+		for t := c.a.colPtr[j]; t < c.a.colPtr[j+1]; t++ {
+			dj -= y[c.a.rowIdx[t]] * c.a.colVal[t]
 		}
+		reduced[j] = c.sign * dj
 	}
-	c.refactor()
-	c.computeBeta()
-	st := c.dualLoop(maxIter)
-	if c.cancelled {
-		return nil, ctx.Err(), true
-	}
-	sol := &Solution{
-		Status:           st,
-		Iterations:       c.iters,
-		DegeneratePivots: c.degenPivots,
-		DualPivots:       c.iters,
-		Refactorizations: c.refactors,
-	}
-	if st == StatusOptimal || st == StatusIterLimit {
-		x := make([]float64, n)
-		c.extractX(x)
-		obj := 0.0
-		for j := 0; j < n; j++ {
-			obj += p.obj[j] * x[j]
-		}
-		sol.X = x
-		sol.Objective = obj
-	}
-	if st == StatusOptimal {
-		// Exact duals from the final basis: refresh d through the current
-		// factors so pivot-to-pivot drift never reaches callers.
-		c.computeDuals()
-		for i := 0; i < c.m; i++ {
-			c.erow[i] = c.cost[c.basis[i]]
-		}
-		c.btranFull(c.erow, c.work)
-		duals := make([]float64, m)
-		red := make([]float64, n)
-		for i := 0; i < m; i++ {
-			duals[i] = sign * c.work[i]
-		}
-		for j := 0; j < n; j++ {
-			if c.state[j] != inBasis {
-				red[j] = sign * c.d[j]
-			}
-		}
-		sol.Duals = duals
-		sol.ReducedCosts = red
-	}
-	if opt.Obs.Enabled() {
-		opt.Obs.Emit(obs.Event{
-			Kind: obs.KindLPSolve, Status: st.String(), Obj: sol.Objective,
-			Iters: sol.Iterations, Degenerate: sol.DegeneratePivots,
-			DualPivots: sol.DualPivots, Refactors: sol.Refactorizations,
-			DurUS: time.Since(start).Microseconds(),
-			Span:  obs.SpanID(ctx),
-		})
-	}
-	return sol, nil, true
+	return duals, reduced
 }

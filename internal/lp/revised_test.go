@@ -7,14 +7,70 @@ import (
 	"testing"
 )
 
-// TestSparseMatchesDenseFuzz is the differential gate for the revised
-// simplex: on random box-bounded LPs the sparse dual solver and the
-// dense two-phase primal (the oracle, forced via solveSimplex) must
-// agree on status and, when optimal, on the objective value, with the
-// sparse point primal feasible.
+// buildGeneralLP creates a random LP of the general class the engine
+// serves: variables with finite lower bounds and, for about a third of
+// them, an infinite upper bound; LE, GE and EQ rows; either sense.
+// Rows hold at a random point in the box, except that one row in five
+// has its right-hand side shifted 5 to 25 units against that point; the
+// shifted rows and the infinite bounds mix infeasible and unbounded
+// instances into the optimal ones.
+func buildGeneralLP(rng *rand.Rand) *Problem {
+	nv := 2 + rng.Intn(5)
+	p := NewProblem()
+	point := make([]float64, nv)
+	vars := make([]VarID, nv)
+	for j := 0; j < nv; j++ {
+		lo := float64(rng.Intn(5)) - 2
+		hi := lo + 1 + float64(rng.Intn(8))
+		point[j] = lo + (hi-lo)*rng.Float64()
+		if rng.Intn(3) == 0 {
+			hi = math.Inf(1)
+		}
+		vars[j] = p.AddVariable("v", lo, hi, float64(rng.Intn(9)-4))
+	}
+	for i := 0; i < 1+rng.Intn(5); i++ {
+		var terms []Term
+		lhs := 0.0
+		for j := 0; j < nv; j++ {
+			c := float64(rng.Intn(7) - 3)
+			if c == 0 {
+				continue
+			}
+			terms = append(terms, Term{vars[j], c})
+			lhs += c * point[j]
+		}
+		if len(terms) == 0 {
+			continue
+		}
+		shift := 0.0
+		if rng.Intn(5) == 0 {
+			shift = 5 + 20*rng.Float64()
+		}
+		switch rng.Intn(3) {
+		case 0:
+			p.AddConstraint("c", terms, LE, lhs+rng.Float64()*3-shift)
+		case 1:
+			p.AddConstraint("c", terms, GE, lhs-rng.Float64()*3+shift)
+		default:
+			p.AddConstraint("c", terms, EQ, lhs+shift)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		p.SetMaximize(true)
+	}
+	return p
+}
+
+// TestSparseMatchesDenseFuzz is the differential gate for the engine:
+// on random LPs with favourable infinite bounds, either sense and mixed
+// row relations, Problem.Solve (the dual phase 1 where a cost favours an
+// infinite bound, then the dual simplex) must agree with the dense
+// two-phase tableau oracle on status and, when optimal, on the
+// objective, with a primal-feasible point and duals that satisfy strong
+// duality and complementary slackness. The corpus must hold enough of
+// each status that the test cannot pass vacuously.
 func TestSparseMatchesDenseFuzz(t *testing.T) {
-	ctx := context.Background()
-	solved := 0
+	count := map[Status]int{}
 	// Integer-heavy coefficient corpora make exact transient cancellations
 	// in the pricing scatter likely — the failure mode that separates the
 	// maintained duals from the truth (caught once by exactly this fuzz
@@ -22,35 +78,32 @@ func TestSparseMatchesDenseFuzz(t *testing.T) {
 	for _, seed := range []int64{101, 202, 404, 808} {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 300; trial++ {
-			p := buildBoxLP(rng)
-			if !forceDense && !sparseSolvable(p) {
-				t.Fatalf("seed %d trial %d: box LP not sparse-solvable", seed, trial)
-			}
-			sparse, err, ok := solveSparse(ctx, p, Options{})
-			if err != nil || !ok {
-				t.Fatalf("seed %d trial %d: sparse solve: ok=%v err=%v", seed, trial, ok, err)
-			}
-			dense, err := solveSimplex(ctx, p, Options{})
+			p := buildGeneralLP(rng)
+			sol, err := p.Solve()
 			if err != nil {
-				t.Fatalf("seed %d trial %d: dense solve: %v", seed, trial, err)
+				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
 			}
-			if sparse.Status != dense.Status {
-				t.Fatalf("seed %d trial %d: sparse %v vs dense %v", seed, trial, sparse.Status, dense.Status)
+			want := oracleSolve(p)
+			if sol.Status != want.Status {
+				t.Fatalf("seed %d trial %d: engine %v vs oracle %v", seed, trial, sol.Status, want.Status)
 			}
-			if sparse.Status != StatusOptimal {
+			count[sol.Status]++
+			if sol.Status != StatusOptimal {
 				continue
 			}
-			solved++
-			if diff := math.Abs(sparse.Objective - dense.Objective); diff > 1e-6*(1+math.Abs(dense.Objective)) {
-				t.Fatalf("seed %d trial %d: sparse obj %v vs dense %v", seed, trial, sparse.Objective, dense.Objective)
+			if diff := math.Abs(sol.Objective - want.Objective); diff > 1e-6*(1+math.Abs(want.Objective)) {
+				t.Fatalf("seed %d trial %d: engine obj %v vs oracle %v", seed, trial, sol.Objective, want.Objective)
 			}
-			if v := p.MaxViolation(sparse.X); v > 1e-6 {
-				t.Fatalf("seed %d trial %d: sparse point violates by %v", seed, trial, v)
+			if v := p.MaxViolation(sol.X); v > 1e-6 {
+				t.Fatalf("seed %d trial %d: point violates by %v", seed, trial, v)
 			}
+			checkDuality(t, p, sol)
 		}
 	}
-	if solved < 200 {
-		t.Fatalf("only %d optimal instances; fuzz corpus too degenerate", solved)
+	t.Logf("%d optimal, %d infeasible, %d unbounded", count[StatusOptimal], count[StatusInfeasible], count[StatusUnbounded])
+	if count[StatusOptimal] < 50 || count[StatusInfeasible] < 20 || count[StatusUnbounded] < 20 {
+		t.Fatalf("corpus too thin: %d optimal, %d infeasible, %d unbounded",
+			count[StatusOptimal], count[StatusInfeasible], count[StatusUnbounded])
 	}
 }
 
@@ -81,12 +134,11 @@ func assignmentLP(n int, cost func(i, j int) float64) *Problem {
 }
 
 // TestDegenerateAssignmentTerminates is the anti-cycling regression for
-// both engines: the uniform-cost assignment LP stalls a simplex without
-// a cycling guard (every pivot is degenerate past the first few). Both
-// the sparse dual solver and the dense primal must terminate at the
-// optimum well inside the iteration limit.
+// the engine and the oracle: the uniform-cost assignment LP stalls a
+// simplex without a cycling guard (every pivot is degenerate past the
+// first few). Both must terminate at the optimum well inside the
+// iteration limit.
 func TestDegenerateAssignmentTerminates(t *testing.T) {
-	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
 		cost func(i, j int) float64
@@ -98,9 +150,9 @@ func TestDegenerateAssignmentTerminates(t *testing.T) {
 		{"mod3", func(i, j int) float64 { return float64((i + j) % 3) }, 0},
 	} {
 		p := assignmentLP(10, tc.cost)
-		sparse, err, ok := solveSparse(ctx, p, Options{})
-		if err != nil || !ok || sparse.Status != StatusOptimal {
-			t.Fatalf("%s: sparse: ok=%v status=%v err=%v", tc.name, ok, sparse.Status, err)
+		sparse, err := p.Solve()
+		if err != nil || sparse.Status != StatusOptimal {
+			t.Fatalf("%s: sparse: %v %v", tc.name, sparse, err)
 		}
 		if math.Abs(sparse.Objective-tc.want) > 1e-6 {
 			t.Fatalf("%s: sparse objective %v, want %v", tc.name, sparse.Objective, tc.want)
@@ -108,9 +160,9 @@ func TestDegenerateAssignmentTerminates(t *testing.T) {
 		if sparse.Iterations >= defaultMaxIter {
 			t.Fatalf("%s: sparse hit the iteration limit (%d pivots)", tc.name, sparse.Iterations)
 		}
-		dense, err := solveSimplex(ctx, p, Options{})
-		if err != nil || dense.Status != StatusOptimal {
-			t.Fatalf("%s: dense: status=%v err=%v", tc.name, dense.Status, err)
+		dense := oracleSolve(p)
+		if dense.Status != StatusOptimal {
+			t.Fatalf("%s: dense: status=%v", tc.name, dense.Status)
 		}
 		if math.Abs(dense.Objective-tc.want) > 1e-6 {
 			t.Fatalf("%s: dense objective %v, want %v", tc.name, dense.Objective, tc.want)
@@ -121,14 +173,13 @@ func TestDegenerateAssignmentTerminates(t *testing.T) {
 // TestDegenerateWarmResolves drives the incremental solver through
 // repeated fix/relax cycles on the degenerate assignment instance —
 // every re-solve replays the tie-heavy ratio tests — and cross-checks
-// each optimum against a cold dense solve.
+// each optimum against the dense oracle.
 func TestDegenerateWarmResolves(t *testing.T) {
 	p := assignmentLP(6, func(i, j int) float64 { return 1 })
 	inc, err := NewIncremental(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for cycle := 0; cycle < 20; cycle++ {
 		v := VarID((cycle * 7) % p.NumVariables())
 		inc.SetBounds(v, 1, 1) // force the pair into the matching
@@ -137,10 +188,7 @@ func TestDegenerateWarmResolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
-		cold, err := solveSimplex(ctx, p, Options{})
-		if err != nil {
-			t.Fatalf("cycle %d: dense: %v", cycle, err)
-		}
+		cold := oracleSolve(p)
 		if (warm.Status == StatusOptimal) != (cold.Status == StatusOptimal) {
 			t.Fatalf("cycle %d: warm %v vs cold %v", cycle, warm.Status, cold.Status)
 		}

@@ -183,8 +183,8 @@ func TestResidualAndMaxViolation(t *testing.T) {
 
 func TestStressManyBoundFlips(t *testing.T) {
 	// A problem engineered so the optimum has most variables at their
-	// upper bound, exercising the bound-flip path heavily: min -sum(x_i)
-	// s.t. sum(x_i) <= n-0.5, x_i in [0, 1].
+	// upper bound and one basic at 0.5: min -sum(x_i) s.t.
+	// sum(x_i) <= n-0.5, x_i in [0, 1].
 	const n = 40
 	p := NewProblem()
 	terms := make([]Term, n)

@@ -92,18 +92,6 @@ type Options struct {
 	// RootRounding enables a cheap dive heuristic at the root: round the
 	// relaxation's integer values and re-solve the continuous part.
 	RootRounding bool
-	// ColdStart disables the warm-started dual simplex and solves every
-	// node's relaxation from scratch with the cold solver. Warm starting
-	// is the default: each node re-solve repairs the parent basis with a
-	// handful of dual pivots on the sparse revised simplex core
-	// (lp.Incremental), allocation-free in steady state, instead of
-	// running a full solve per node. The warm path requires finite bounds
-	// on improving columns (box-bounded problems, which floorplanning
-	// relaxations always are) and silently falls back to cold solves when
-	// that precondition fails, so ColdStart is only needed to force the
-	// fallback — for differential testing or to measure the warm-start
-	// speedup (see BenchmarkAblationWarmStart{On,Off}).
-	ColdStart bool
 	// External optionally supplies an externally-proven feasible objective
 	// value (in the problem's original sense) together with a label naming
 	// its producer, e.g. "portfolio:anneal". The search polls it at node
@@ -168,14 +156,12 @@ type Result struct {
 	Nodes     int       // branch-and-bound nodes explored
 	LPIters   int       // total simplex iterations across all node solves
 	BestBound float64   // proven bound on the optimum (original sense)
-	// DualPivots and Refactorizations break down the sparse-simplex LP
-	// effort: dual pivots across node solves (a warm re-solve repairing a
-	// parent basis typically needs a handful; a cold solve on the sparse
-	// engine pays the full count) and how often the LU factorization was
-	// rebuilt (eta file full, numerical trouble, or a cloned worker basis
-	// coming online). Both are zero when every solve took the dense
-	// primal path (the lpdense build, or problems the sparse engine
-	// declines).
+	// DualPivots and Refactorizations break down the LP effort: dual
+	// pivots across node solves (every node re-solve warm-starts from the
+	// worker's last basis and typically needs a handful; the root pays the
+	// full count from the slack basis) and how often the LU factorization
+	// was rebuilt (eta file full, numerical trouble, or a cloned worker
+	// basis coming online).
 	DualPivots       int
 	Refactorizations int
 	// IncumbentSource names who owns the best known solution: "bb" when

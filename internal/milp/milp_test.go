@@ -79,6 +79,18 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
+// A model the LP layer cannot solve (here: no variables at all) must
+// not read as an exhausted search: nothing was explored, so the result
+// is neither infeasible nor optimal, and no bound is claimed.
+func TestEmptyModelIsNotExhausted(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		res := Solve(NewModel(lp.NewProblem()), Options{Workers: workers})
+		if res.Status != StatusLimit || res.X != nil || !math.IsInf(res.BestBound, -1) {
+			t.Fatalf("workers %d: %+v, want limit with no incumbent and no bound", workers, res)
+		}
+	}
+}
+
 func TestGeneralInteger(t *testing.T) {
 	// min x + y s.t. 5x + 3y >= 17, x,y integer >= 0.
 	// LP optimum x=3.4; integer optimum x=1,y=4 (cost 5)? Check: candidates
@@ -199,7 +211,7 @@ func TestRootRounding(t *testing.T) {
 }
 
 // Exhaustive cross-check on random small binary programs: branch and bound
-// must match brute-force enumeration.
+// must match brute-force enumeration at one worker and at four.
 func TestBruteForceCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -239,15 +251,6 @@ func TestBruteForceCrossCheck(t *testing.T) {
 			rowsSpec = append(rowsSpec, row{coefs, op, rhs})
 			p.AddConstraint("c", terms, op, rhs)
 		}
-		res := Solve(m, Options{ColdStart: true})
-		warm := Solve(m, Options{})
-		if (res.Status == StatusOptimal) != (warm.Status == StatusOptimal) {
-			t.Fatalf("trial %d: cold %v vs warm %v", trial, res.Status, warm.Status)
-		}
-		if res.Status == StatusOptimal && math.Abs(res.Objective-warm.Objective) > 1e-6 {
-			t.Fatalf("trial %d: cold obj %v vs warm %v", trial, res.Objective, warm.Objective)
-		}
-
 		// Brute force.
 		bestObj := math.Inf(1)
 		found := false
@@ -280,17 +283,20 @@ func TestBruteForceCrossCheck(t *testing.T) {
 			}
 		}
 
-		if !found {
-			if res.Status != StatusInfeasible {
-				t.Fatalf("trial %d: brute force infeasible but solver says %v", trial, res.Status)
+		for _, workers := range []int{1, 4} {
+			res := Solve(m, Options{Workers: workers})
+			if !found {
+				if res.Status != StatusInfeasible {
+					t.Fatalf("trial %d workers %d: brute force infeasible but solver says %v", trial, workers, res.Status)
+				}
+				continue
 			}
-			continue
-		}
-		if res.Status != StatusOptimal {
-			t.Fatalf("trial %d: status %v", trial, res.Status)
-		}
-		if math.Abs(res.Objective-bestObj) > 1e-6 {
-			t.Fatalf("trial %d: objective %v, brute force %v", trial, res.Objective, bestObj)
+			if res.Status != StatusOptimal {
+				t.Fatalf("trial %d workers %d: status %v", trial, workers, res.Status)
+			}
+			if math.Abs(res.Objective-bestObj) > 1e-6 {
+				t.Fatalf("trial %d workers %d: objective %v, brute force %v", trial, workers, res.Objective, bestObj)
+			}
 		}
 	}
 }

@@ -24,7 +24,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		serial := Solve(m, Options{Workers: 1})
 		for _, opt := range []Options{
 			{Workers: 4},
-			{Workers: 4, ColdStart: true},
 			{Workers: 4, Branching: PseudoCost},
 			{Workers: 3, RootRounding: true},
 		} {
@@ -207,13 +206,13 @@ func TestParallelIncumbentHint(t *testing.T) {
 
 func TestParallelStress(t *testing.T) {
 	// Many concurrent solves of the same model exercise the pool, the
-	// incumbent lock and Incremental cloning under the race detector.
+	// incumbent lock, Incremental cloning and concurrent NewIncremental
+	// calls on one shared Problem under the race detector.
 	m := hardKnapsack(14, 21)
 	want := Solve(m, Options{Workers: 1})
 	done := make(chan *Result, 6)
 	for i := 0; i < 6; i++ {
-		cold := i%2 == 0
-		go func() { done <- Solve(m, Options{Workers: 4, ColdStart: cold}) }()
+		go func() { done <- Solve(m, Options{Workers: 4}) }()
 	}
 	for i := 0; i < 6; i++ {
 		res := <-done

@@ -30,9 +30,10 @@ import (
 //     prunes against the global best;
 //   - on any exit (exhaustion, node/time limit, ctx cancellation) each
 //     worker returns its unprocessed dive node to the pool, and the bound
-//     of any node left with its LP unfinished (aborted mid-solve, or
-//     stopped at the iteration limit with nothing to branch on) is folded
-//     in, so the reported BestBound is proven.
+//     of any node left with its LP unfinished (aborted mid-solve, failed
+//     with an error, or stopped at the iteration limit with nothing to
+//     branch on) is folded in, so the reported BestBound is proven and
+//     such a search ends limit or feasible, never exhausted.
 
 // node is one open subproblem: the integer-variable bounds along its path.
 type node struct {
@@ -88,14 +89,14 @@ type solver struct {
 	psUpN, psDownN []int     // guarded by mu
 }
 
-// worker is one worker goroutine's private solver assets: a problem
-// clone or a cloned warm-start basis, never shared with other workers.
+// worker is one worker goroutine's private LP: a warm-start basis over
+// the shared immutable problem snapshot, never shared with other
+// workers.
 type worker struct {
-	s    *solver
-	id   int             // 1-based
-	ctx  context.Context // carries the worker's span; LP solves link to it
-	work *lp.Problem     // cold path: private clone whose bounds we mutate
-	inc  *lp.Incremental // warm path: private basis over a shared immutable problem
+	s   *solver
+	id  int             // 1-based
+	ctx context.Context // carries the worker's span; LP solves link to it
+	inc *lp.Incremental
 }
 
 func search(ctx context.Context, m *Model, opt Options, workers int) *Result {
@@ -131,30 +132,23 @@ func search(ctx context.Context, m *Model, opt Options, workers int) *Result {
 		rootHi[k] = math.Floor(hi + intTol)
 	}
 
-	// Private LP assets per worker. With warm start, one pristine basis is
-	// built over a single work clone and every other worker receives a
-	// Clone() of it BEFORE anything (incumbent hint, root solve) mutates
-	// the prototype — after that the bases never touch shared mutable
-	// state. Cold workers each own a full problem clone instead.
-	base := m.P.Clone()
-	var proto *lp.Incremental
-	if !opt.ColdStart {
-		if inc, err := lp.NewIncremental(base, opt.LP); err == nil {
-			proto = inc
-		}
+	// One pristine basis is built over a snapshot of the problem, and
+	// every other worker receives a Clone() of it BEFORE anything
+	// (incumbent hint, root solve) mutates the prototype — after that the
+	// bases never touch shared mutable state. Without an LP nothing can
+	// be explored: the whole tree is unexplored mass, so the search ends
+	// limited with no bound, exactly as if the root's LP had failed.
+	proto, err := lp.NewIncremental(m.P, opt.LP)
+	if err != nil {
+		s.hitLimit = true
+		s.abortFold = math.Inf(-1)
+		return s.result()
 	}
 	ws := make([]*worker, workers)
 	for i := range ws {
-		w := &worker{s: s, id: i + 1, ctx: ctx}
-		switch {
-		case proto != nil && i == 0:
-			w.inc = proto
-		case proto != nil:
+		w := &worker{s: s, id: i + 1, ctx: ctx, inc: proto}
+		if i > 0 {
 			w.inc = proto.Clone()
-		case i == 0:
-			w.work = base
-		default:
-			w.work = m.P.Clone()
 		}
 		ws[i] = w
 	}
@@ -511,30 +505,18 @@ func (w *worker) run(rootLo, rootHi []float64) {
 
 // setIntBounds applies a node's integer bounds to the worker's LP.
 func (w *worker) setIntBounds(n *node) {
-	if w.inc != nil {
-		for k, v := range w.s.m.Ints {
-			w.inc.SetBounds(v, n.lo[k], n.hi[k])
-		}
-		return
-	}
 	for k, v := range w.s.m.Ints {
-		w.work.SetBounds(v, n.lo[k], n.hi[k])
+		w.inc.SetBounds(v, n.lo[k], n.hi[k])
 	}
 }
 
 // solveLP solves this worker's private relaxation and returns the
-// solution plus the node bound in minimize sense. On the warm path the
-// returned Solution (and its X) is the worker's reused buffer: it is
-// only valid until the worker's next solveLP call, so values needed
-// across solves must be copied out first.
+// solution plus the node bound in minimize sense. The returned Solution
+// (and its X) is the worker's reused buffer: it is only valid until the
+// worker's next solveLP call, so values needed across solves must be
+// copied out first.
 func (w *worker) solveLP() (*lp.Solution, float64) {
-	var sol *lp.Solution
-	var err error
-	if w.inc != nil {
-		sol, err = w.inc.SolveCtxReuse(w.ctx)
-	} else {
-		sol, err = w.work.SolveCtx(w.ctx, w.s.opt.LP)
-	}
+	sol, err := w.inc.SolveCtxReuse(w.ctx)
 	if err != nil {
 		return nil, math.Inf(1)
 	}
@@ -571,20 +553,20 @@ func (w *worker) process(n *node, rootLo, rootHi []float64) *node {
 	w.setIntBounds(n)
 	sol, obj := w.solveLP()
 	if sol == nil {
+		// Cancellation aborted this node's LP mid-solve, or the LP failed
+		// with an error: its parent bound is unexplored mass, fold it into
+		// the proven bound and stop, so the search cannot read as
+		// exhausted.
+		detail := "lperror"
 		if s.timeUp() {
-			// Cancellation aborted this node's LP mid-solve: its parent
-			// bound is unexplored mass, fold it into the proven bound.
-			s.emitClose(w.id, n, "cancelled", n.bound)
-			s.mu.Lock()
-			s.hitLimit = true
-			if n.bound < s.abortFold {
-				s.abortFold = n.bound
-			}
-			s.stopLocked()
-			s.mu.Unlock()
-			return nil
+			detail = "cancelled"
 		}
-		s.emitClose(w.id, n, "lperror", n.bound)
+		s.emitClose(w.id, n, detail, n.bound)
+		s.mu.Lock()
+		s.hitLimit = true
+		s.abortFold = math.Min(s.abortFold, n.bound)
+		s.stopLocked()
+		s.mu.Unlock()
 		return nil
 	}
 	switch sol.Status {

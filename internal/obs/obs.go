@@ -135,18 +135,16 @@ type Event struct {
 	// Iters counts simplex iterations (total across phases for lp.solve;
 	// cumulative across node solves for search-level events).
 	Iters int `json:"iters,omitempty"`
-	// Phase1Iters counts phase-1 iterations of a two-phase solve.
+	// Phase1Iters is the share of an lp.solve's Iters spent in the dual
+	// phase 1.
 	Phase1Iters int `json:"phase1_iters,omitempty"`
 	// Degenerate counts degenerate pivots (zero step length).
 	Degenerate int `json:"degenerate,omitempty"`
-	// BoundFlips counts nonbasic bound flips (pivots without a basis
-	// change).
-	BoundFlips int `json:"bound_flips,omitempty"`
 	// DualPivots counts dual simplex pivots (per solve for lp.solve;
 	// cumulative across node solves for search-level events).
 	DualPivots int `json:"dual_pivots,omitempty"`
-	// Refactors counts basis LU refactorizations of the sparse revised
-	// simplex (per solve for lp.solve; cumulative for search events).
+	// Refactors counts basis LU refactorizations of the simplex (per
+	// solve for lp.solve; cumulative for search events).
 	Refactors int `json:"refactors,omitempty"`
 	// Nodes counts branch-and-bound nodes explored so far.
 	Nodes int `json:"nodes,omitempty"`
@@ -188,10 +186,9 @@ type Event struct {
 
 	// DurUS is the duration of the traced unit in microseconds.
 	DurUS int64 `json:"dur_us,omitempty"`
-	// Phase1US is the phase-1 share of DurUS for lp.solve events.
-	Phase1US int64 `json:"phase1_us,omitempty"`
 
-	// Warm marks a warm-started (dual simplex repair) LP solve.
+	// Warm marks an LP solve that started from the basis an earlier
+	// solve of the same lp.Incremental left.
 	Warm bool `json:"warm,omitempty"`
 	// Relaxed marks a step whose critical-net constraints were dropped.
 	Relaxed bool `json:"relaxed,omitempty"`

@@ -18,7 +18,7 @@ func TestNilObserverAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		o.Emit(Event{
 			Kind: KindLPSolve, Status: "optimal", Obj: 12.5,
-			Iters: 42, Phase1Iters: 7, Degenerate: 3, BoundFlips: 2,
+			Iters: 42, Phase1Iters: 7, Degenerate: 3,
 			DurUS: 1234, Warm: true,
 		})
 		if o.Enabled() {
@@ -43,7 +43,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	want := []Event{
 		{Kind: KindStepStart, Step: 2, Modules: 6, Covers: 3, Binaries: 24},
 		{Kind: KindLPSolve, Status: "optimal", Obj: -1.5, Iters: 17, Phase1Iters: 4,
-			Degenerate: 1, BoundFlips: 2, DurUS: 100, Phase1US: 40, Warm: true},
+			Degenerate: 1, DualPivots: 17, DurUS: 100, Warm: true},
 		{Kind: KindNodeClose, Node: 3, Depth: 2, Detail: "integer", Obj: 9},
 		{Kind: KindSearchDone, Status: "optimal", Obj: 9, Bound: 9, Nodes: 5,
 			Iters: 80, Gap: 0},

@@ -36,7 +36,6 @@ func TestPipelineAcrossConfigurations(t *testing.T) {
 		{"envelopes", netlist.Random(8, 3), core.Config{GroupSize: 3, Envelopes: true, PitchH: 0.2, PitchV: 0.2, MILP: fastMILP()}},
 		{"wire-objective", netlist.Random(8, 4), core.Config{GroupSize: 3, Objective: mipmodel.AreaWire, WireWeight: 0.03, MILP: fastMILP()}},
 		{"overlapping-covers", netlist.Random(8, 5), core.Config{GroupSize: 3, OverlappingCovers: true, MILP: fastMILP()}},
-		{"cold-start", netlist.Random(8, 6), core.Config{GroupSize: 3, MILP: milp.Options{MaxNodes: 400, TimeLimit: 2 * time.Second, ColdStart: true}}},
 		{"tangent", netlist.Random(8, 7), core.Config{GroupSize: 3, Linearize: mipmodel.Tangent, PostOptimize: true, MILP: fastMILP()}},
 		{"critical", withCritical(netlist.Random(8, 8)), core.Config{GroupSize: 3, CriticalMaxLen: 30, MILP: fastMILP()}},
 	}

@@ -10,15 +10,14 @@ import (
 	"afp/internal/netlist"
 )
 
-// TestWarmColdNodeAgreement is the end-to-end differential gate for the
-// warm-started dual simplex on a real floorplanning subproblem (not the
-// small synthetic LPs of internal/lp's fuzz): identical random integer
-// bound-fix patterns — the exact shape of branch-and-bound node bounds —
-// must give the same LP status and objective through the warm
-// incremental path and a cold solve. Heights of full floorplans can
-// legitimately differ between warm and cold searches (equally-optimal
-// vertices among dual-degenerate ties steer later steps differently);
-// node-level objectives must not.
+// TestWarmColdNodeAgreement is the end-to-end check of warm starting on
+// a real floorplanning subproblem (not the small synthetic LPs that
+// internal/lp's tests compare against the dense oracle): identical
+// random integer bound-fix patterns — the exact shape of branch-and-bound
+// node bounds — must give the same LP status and objective through one
+// incremental solver repairing its previous basis and through a cold
+// solve from the slack basis. Equally-optimal vertices among
+// dual-degenerate ties may differ; node-level objectives must not.
 func TestWarmColdNodeAgreement(t *testing.T) {
 	d := netlist.Random(12, 99)
 	spec := &mipmodel.Spec{
