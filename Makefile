@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check clean
+.PHONY: all build test ci fmt vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check clean
 
 all: build
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any tracked Go file outside
+# testdata/ (the analyzer fixtures there keep their own layout).
+fmt:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # lint runs the project's custom analyzers (ctxsolve, toleq, obsevent,
 # locked, guardedby, lockorder, goroleak — see DESIGN.md sections 11
@@ -59,10 +65,10 @@ generate-check:
 		|| { echo "generate-check: internal/obs/schema.go is stale; run: go generate ./internal/obs"; rm -f internal/obs/.schema_check; exit 1; }
 	@rm -f internal/obs/.schema_check
 
-# ci is the gate run before merging: static checks (go vet plus the
-# custom analyzer suite), generated-file drift, a full build, and the
-# race-instrumented solver tests.
-ci: vet lint generate-check build race
+# ci is the gate run before merging: static checks (gofmt, go vet and
+# the custom analyzer suite), generated-file drift, a full build, and
+# the race-instrumented solver tests.
+ci: fmt vet lint generate-check build race
 
 # serve runs the HTTP solve service locally (see DESIGN.md section 8).
 serve:

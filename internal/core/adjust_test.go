@@ -3,9 +3,13 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"afp/internal/geom"
+	"afp/internal/milp"
+	"afp/internal/mipmodel"
 	"afp/internal/netlist"
+	"afp/internal/obs"
 )
 
 // flexChain builds a design of alternating flexible and rigid modules
@@ -118,6 +122,56 @@ func TestOptimizeTopologyShrinksWidth(t *testing.T) {
 	}
 	if u := opt.Utilization(); math.Abs(u-1) > 1e-6 {
 		t.Fatalf("utilization = %v, want 1.0", u)
+	}
+}
+
+// TestAdjustAreaWireWidthPhase pins the area+wire adjust of rand20 (seed
+// 2001), whose width phase is a long run of degenerate dual pivots. Both
+// LPs must end optimal within a few thousand pivots, and the width phase
+// must shrink the chip: the optimal width, 95.681553, lies just under the
+// chip width the augmentation built for, 95.681925. An anti-cycling rule
+// that enters columns off the minimum ratio loses dual feasibility on
+// this LP, spends about 48,000 pivots and returns the input width.
+func TestAdjustAreaWireWidthPhase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full rand20 augmentation")
+	}
+	d := netlist.Random(20, 2001)
+	cfg := Config{
+		GroupSize: 3, MILP: milp.Options{MaxNodes: 600, TimeLimit: 2 * time.Second}, Workers: 1,
+		Objective: mipmodel.AreaWire, WireWeight: 0.02,
+	}
+	base, err := Floorplan(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.Recorder{}
+	cfg.Obs = obs.New(rec)
+	adj, err := AdjustFloorplan(d, base, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkValid(t, d, adj)
+	pivots, solves := 0, 0
+	for _, e := range rec.Events() {
+		if e.Kind != obs.KindLPSolve {
+			continue
+		}
+		solves++
+		pivots += e.DualPivots
+		if e.Status != "optimal" {
+			t.Errorf("adjust LP %d ended %s after %d pivots", solves, e.Status, e.DualPivots)
+		}
+	}
+	t.Logf("adjust: %d dual pivots, chip width %.6f -> %.6f", pivots, base.ChipWidth, adj.ChipWidth)
+	if solves != 2 {
+		t.Fatalf("%d lp.solve events, want the height and width phases", solves)
+	}
+	if pivots >= 2000 {
+		t.Errorf("adjust spent %d dual pivots, want under 2,000", pivots)
+	}
+	if adj.ChipWidth > base.ChipWidth-1e-4 {
+		t.Errorf("width phase left chip width %.6f of %.6f", adj.ChipWidth, base.ChipWidth)
 	}
 }
 

@@ -67,15 +67,15 @@ func FloorplanExact(d *netlist.Design, cfg Config) (*Result, error) {
 	}
 	res.Height = geom.NewSkyline(envs).MaxHeight()
 	res.Steps = []StepTrace{{
-		Added:    allIndices(n),
-		Binaries: len(built.Model.Ints),
+		Added:      allIndices(n),
+		Binaries:   len(built.Model.Ints),
 		Nodes:      mres.Nodes,
 		LPIters:    mres.LPIters,
 		DualPivots: mres.DualPivots,
 		Refactors:  mres.Refactorizations,
 		Status:     mres.Status,
-		Height:   res.Height,
-		Elapsed:  time.Since(start),
+		Height:     res.Height,
+		Elapsed:    time.Since(start),
 	}}
 	res.Elapsed = time.Since(start)
 	c.Obs.Emit(obs.Event{

@@ -1,20 +1,36 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// checkDuality verifies strong duality with bounds and complementary
-// slackness for an optimal solution.
+// checkDuality verifies an optimal solution's duals: strong duality with
+// bounds, complementary slackness and dual feasibility (see
+// dualityError).
 func checkDuality(t *testing.T, p *Problem, sol *Solution) {
 	t.Helper()
+	if err := dualityError(p, sol); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dualityError reports the first way sol fails to be a proven optimum
+// of p, or nil. Strong duality and complementary slackness hold at any
+// basic solution, so it also checks the sign conditions that only an
+// optimal basis meets. In minimize sense a column resting on its lower
+// bound has a reduced cost of at least -tol and one on its upper bound
+// at most tol; an LE row's dual is at most tol and a GE row's at least
+// -tol. Maximize flips every sign. Fixed columns, and boxes narrower than
+// the bound tolerance, have no sign condition.
+func dualityError(p *Problem, sol *Solution) error {
 	if sol.Status != StatusOptimal {
-		t.Fatalf("status %v", sol.Status)
+		return fmt.Errorf("status %v", sol.Status)
 	}
 	if len(sol.Duals) != p.NumConstraints() || len(sol.ReducedCosts) != p.NumVariables() {
-		t.Fatalf("duals/reduced sizes %d/%d", len(sol.Duals), len(sol.ReducedCosts))
+		return fmt.Errorf("duals/reduced sizes %d/%d", len(sol.Duals), len(sol.ReducedCosts))
 	}
 	// Strong duality: obj = y'b + d'x.
 	var rhsPart, redPart float64
@@ -26,7 +42,7 @@ func checkDuality(t *testing.T, p *Problem, sol *Solution) {
 	}
 	scale := 1 + math.Abs(sol.Objective)
 	if diff := math.Abs(sol.Objective - (rhsPart + redPart)); diff > 1e-6*scale {
-		t.Fatalf("strong duality violated: obj %v vs y'b+d'x %v (y'b=%v, d'x=%v)",
+		return fmt.Errorf("strong duality violated: obj %v vs y'b+d'x %v (y'b=%v, d'x=%v)",
 			sol.Objective, rhsPart+redPart, rhsPart, redPart)
 	}
 	// Complementary slackness: nonzero dual -> tight row.
@@ -39,7 +55,7 @@ func checkDuality(t *testing.T, p *Problem, sol *Solution) {
 			lhs += tm.Coef * sol.X[tm.Var]
 		}
 		if math.Abs(lhs-p.rhs[i]) > 1e-6*scale {
-			t.Fatalf("row %d has dual %v but slack %v", i, sol.Duals[i], lhs-p.rhs[i])
+			return fmt.Errorf("row %d has dual %v but slack %v", i, sol.Duals[i], lhs-p.rhs[i])
 		}
 	}
 	// Nonzero reduced cost -> variable at a bound.
@@ -49,10 +65,35 @@ func checkDuality(t *testing.T, p *Problem, sol *Solution) {
 		}
 		lo, hi := p.Bounds(VarID(j))
 		if math.Abs(sol.X[j]-lo) > 1e-6 && math.Abs(sol.X[j]-hi) > 1e-6 {
-			t.Fatalf("var %d has reduced cost %v but interior value %v in [%v, %v]",
+			return fmt.Errorf("var %d has reduced cost %v but interior value %v in [%v, %v]",
 				j, sol.ReducedCosts[j], sol.X[j], lo, hi)
 		}
 	}
+	// Dual feasibility, checked in minimize sense.
+	const tol = 1e-6
+	sense := 1.0
+	if p.maximize {
+		sense = -1
+	}
+	for j := 0; j < p.NumVariables(); j++ {
+		lo, hi := p.Bounds(VarID(j))
+		atLo, atHi := sol.X[j]-lo <= 1e-6, hi-sol.X[j] <= 1e-6
+		d := sense * sol.ReducedCosts[j]
+		switch {
+		case atLo && atHi:
+		case atLo && d < -tol:
+			return fmt.Errorf("var %d at its lower bound %v has reduced cost %v", j, lo, sol.ReducedCosts[j])
+		case atHi && d > tol:
+			return fmt.Errorf("var %d at its upper bound %v has reduced cost %v", j, hi, sol.ReducedCosts[j])
+		}
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		y := sense * sol.Duals[i]
+		if (p.ops[i] == LE && y > tol) || (p.ops[i] == GE && y < -tol) {
+			return fmt.Errorf("%v row %d has dual %v of the wrong sign", p.ops[i], i, sol.Duals[i])
+		}
+	}
+	return nil
 }
 
 func TestDualsTextbook(t *testing.T) {

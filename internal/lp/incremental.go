@@ -133,7 +133,6 @@ func (inc *Incremental) Clone() *Incremental {
 		amark:   make([]bool, c.ncols),
 
 		degenStreak:  c.degenStreak,
-		blandLeft:    c.blandLeft,
 		needRefactor: true,
 	}
 	nc.etas.reset()

@@ -35,10 +35,11 @@ const (
 	// maxEtas bounds the product-form file before a refactorization.
 	maxEtas = 64
 	// perturbAfterDegen is the run of consecutive degenerate pivots after
-	// which deterministic dual-cost perturbation kicks in (on top of the
-	// earlier Bland fallback) to break cycling on massively degenerate
-	// instances. Perturbations stay far below costTol and are washed out
-	// by the next refactorization's exact recompute of the duals.
+	// which deterministic dual-cost perturbation kicks in to break cycling
+	// on massively degenerate instances; it is the engine's only
+	// anti-cycling guard, with the iteration cap as the backstop.
+	// Perturbations stay far below costTol and are washed out by the next
+	// refactorization's exact recompute of the duals.
 	perturbAfterDegen = 2000
 )
 
@@ -104,7 +105,6 @@ type spxCore struct {
 	degenPivots  int
 	refactors    int
 	degenStreak  int
-	blandLeft    int
 	perturbed    bool
 	needRefactor bool
 
@@ -527,7 +527,6 @@ func (c *spxCore) dualPivot(r int, needIncrease bool) pivotResult {
 		}
 	}
 
-	bland := c.blandLeft > 0
 	enter := int32(-1)
 	bestRatio := math.Inf(1)
 	bestAbs := 0.0
@@ -572,16 +571,8 @@ func (c *spxCore) dualPivot(r int, needIncrease bool) pivotResult {
 			// Numerical dual infeasibility; treat as zero ratio.
 			ratio = 0
 		}
-		take := false
-		switch {
-		case bland:
-			take = enter < 0 || j < enter
-		case ratio < bestRatio-zeroTol:
-			take = true
-		case ratio <= bestRatio+zeroTol && (a > bestAbs || -a > bestAbs):
-			take = true
-		}
-		if take {
+		if ratio < bestRatio-zeroTol ||
+			(ratio <= bestRatio+zeroTol && (a > bestAbs || -a > bestAbs)) {
 			enter, bestRatio = j, ratio
 			if bestAbs = a; a < 0 {
 				bestAbs = -a
@@ -625,17 +616,11 @@ func (c *spxCore) dualPivot(r int, needIncrease bool) pivotResult {
 	if bestRatio < zeroTol {
 		c.degenPivots++
 		c.degenStreak++
-		if c.degenStreak > 200 && c.blandLeft == 0 {
-			c.blandLeft = 500
-		}
 		if c.degenStreak > perturbAfterDegen {
 			c.perturbed = true
 		}
 	} else {
 		c.degenStreak = 0
-		if c.blandLeft > 0 {
-			c.blandLeft--
-		}
 	}
 
 	// Dual update over the touched columns: theta_d = d_e / alpha_e.

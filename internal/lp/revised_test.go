@@ -170,6 +170,42 @@ func TestDegenerateAssignmentTerminates(t *testing.T) {
 	}
 }
 
+// TestPerturbedPivotsReachOptimum runs degenerate LPs with the cost
+// perturbation, the engine's only anti-cycling guard, armed before the
+// first pivot: no test LP runs the 2,000 consecutive degenerate pivots
+// that arm it in production. The perturbed ratio tests must still end at
+// a proven optimum equal to the oracle's.
+func TestPerturbedPivotsReachOptimum(t *testing.T) {
+	width := buildAdjustLP(rand.New(rand.NewSource(3)), 16)
+	sol, err := width.p.Solve()
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("height phase: %v %v", sol, err)
+	}
+	width.freeze(sol.Objective)
+	for name, p := range map[string]*Problem{
+		"uniform assignment": assignmentLP(10, func(i, j int) float64 { return 1 }),
+		"mod3 assignment":    assignmentLP(10, func(i, j int) float64 { return float64((i + j) % 3) }),
+		"adjust width phase": width.p,
+	} {
+		inc, err := NewIncremental(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc.core.degenStreak = perturbAfterDegen
+		sol, err := inc.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dualityError(p, sol); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := oracleSolve(p)
+		if want.Status != StatusOptimal || math.Abs(sol.Objective-want.Objective) > 1e-6*(1+math.Abs(want.Objective)) {
+			t.Fatalf("%s: objective %v, oracle %v %v", name, sol.Objective, want.Status, want.Objective)
+		}
+	}
+}
+
 // TestDegenerateWarmResolves drives the incremental solver through
 // repeated fix/relax cycles on the degenerate assignment instance —
 // every re-solve replays the tie-heavy ratio tests — and cross-checks

@@ -88,7 +88,7 @@ func TestExternalPrunesNodes(t *testing.T) {
 	if cold.Status != StatusOptimal || cold.Nodes < 3 {
 		t.Fatalf("cold search too easy for this test: %+v", cold)
 	}
-	warm := build(Options{Workers: 1, External: extConst(cold.Objective + 0.5, "x")})
+	warm := build(Options{Workers: 1, External: extConst(cold.Objective+0.5, "x")})
 	if warm.Status != StatusDominated {
 		t.Fatalf("warm status = %v", warm.Status)
 	}

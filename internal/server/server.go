@@ -207,16 +207,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Count("cache_miss", 1)
 	s.store.add(j)
+	// Counted before the hand-off: a worker may dequeue the job at once,
+	// and the decrement at the top of runJob (which every submitted job
+	// reaches; the pool drains its queue on close) must not run first.
+	s.metrics.GaugeAdd("queue_depth", 1)
 	if !s.pool.submit(j) {
+		s.metrics.GaugeAdd("queue_depth", -1)
 		j.finish(StateFailed, nil, false, "queue full")
 		s.metrics.Count("jobs_rejected", 1)
 		httpError(w, http.StatusTooManyRequests, "solve queue is full")
 		return
 	}
-	// Balanced by the decrement at the top of runJob, which every
-	// submitted job reaches (the pool drains its queue on close).
-	s.metrics.GaugeAdd("queue_depth", 1)
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: j.ID, State: j.State(), Key: key})
+	// Report the state the job was accepted in: a worker may already have
+	// started it, and j.State() would then read running.
+	writeJSON(w, http.StatusAccepted, submitResponse{ID: j.ID, State: StateQueued, Key: key})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
