@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci fmt vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check clean
+.PHONY: all build test test-short ci fmt vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check clean
 
 all: build
 
@@ -31,6 +31,12 @@ lockgraph:
 
 test:
 	$(GO) test ./...
+
+# test-short runs every package's unit tests with -short, which skips
+# the multi-second paper-table runs (internal/bench) and the larger
+# end-to-end solves; about 10s on 2 CPUs.
+test-short:
+	$(GO) test -short ./...
 
 # cover prints a per-package coverage summary and enforces a 70% floor on
 # the LP engine, the branch and bound, and the static-analysis,
@@ -66,9 +72,10 @@ generate-check:
 	@rm -f internal/obs/.schema_check
 
 # ci is the gate run before merging: static checks (gofmt, go vet and
-# the custom analyzer suite), generated-file drift, a full build, and
-# the race-instrumented solver tests.
-ci: fmt vet lint generate-check build race
+# the custom analyzer suite), generated-file drift, a full build, the
+# short unit suite of every package, and the race-instrumented solver
+# tests.
+ci: fmt vet lint generate-check build test-short race
 
 # serve runs the HTTP solve service locally (see DESIGN.md section 8).
 serve:

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"afp/internal/lp"
 	"afp/internal/obs"
 )
 
@@ -188,8 +189,10 @@ type span struct {
 	startUS    int64
 	durUS      int64 // -1 while open (no span.end seen)
 	children   []*span
-	lpCount    int   // lp.solve events linked to this span
-	lpUS       int64 // their cumulative duration
+	// lp.solve events linked to this span and their cumulative
+	// duration; those stopped at the iteration limit count apart.
+	lpCount, limCount int
+	lpUS, limUS       int64
 }
 
 // buildTree reconstructs the span forest of a trace. Spans without a
@@ -212,7 +215,13 @@ func buildTree(events []obs.Event) []*span {
 				sp.durUS = e.DurUS
 			}
 		case obs.KindLPSolve:
-			if sp := byID[e.Span]; sp != nil {
+			sp := byID[e.Span]
+			switch {
+			case sp == nil:
+			case e.Status == lp.StatusIterLimit.String():
+				sp.limCount++
+				sp.limUS += e.DurUS
+			default:
 				sp.lpCount++
 				sp.lpUS += e.DurUS
 			}
@@ -258,8 +267,17 @@ func printTree(w io.Writer, events []obs.Event) {
 			dur = fmtUS(sp.durUS)
 		}
 		line := fmt.Sprintf("%s%-*s %10s", strings.Repeat("  ", depth+1), 36-2*depth, sp.label(), dur)
+		// Iteration-limit solves are counted apart: averaged in, one
+		// stalled LP would read as many slow ones.
+		var lps []string
 		if sp.lpCount > 0 {
-			line += fmt.Sprintf("   [lp %d x %s]", sp.lpCount, fmtUS(sp.lpUS/int64(sp.lpCount)))
+			lps = append(lps, fmt.Sprintf("%d x %s", sp.lpCount, fmtUS(sp.lpUS/int64(sp.lpCount))))
+		}
+		if sp.limCount > 0 {
+			lps = append(lps, fmt.Sprintf("%d iteration-limit x %s", sp.limCount, fmtUS(sp.limUS/int64(sp.limCount))))
+		}
+		if len(lps) > 0 {
+			line += "   [lp " + strings.Join(lps, ", ") + "]"
 		}
 		fmt.Fprintln(w, line)
 		sort.Slice(sp.children, func(i, j int) bool { return sp.children[i].startUS < sp.children[j].startUS })

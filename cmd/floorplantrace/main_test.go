@@ -117,3 +117,37 @@ func TestBuildTreeParentsAndAttribution(t *testing.T) {
 		t.Errorf("orphan root: %+v", roots[1])
 	}
 }
+
+// An LP stopped at its iteration limit must not vanish into the span's
+// average: the tree counts such solves apart, and a span without any
+// prints exactly as before.
+func TestTreeFlagsIterationLimitLPs(t *testing.T) {
+	events := []obs.Event{
+		{Kind: obs.KindSpanStart, Span: 1, Name: "solve"},
+		{Kind: obs.KindSpanStart, Span: 2, Parent: 1, Name: "adjust", Step: 1},
+		{Kind: obs.KindSpanStart, Span: 3, Parent: 1, Name: "adjust", Step: 2},
+		{Kind: obs.KindSpanStart, Span: 4, Parent: 1, Name: "step", Step: 3},
+	}
+	for i := 0; i < 4; i++ {
+		events = append(events, obs.Event{Kind: obs.KindLPSolve, Span: 2, Status: "optimal", DurUS: 12_000})
+	}
+	events = append(events,
+		obs.Event{Kind: obs.KindLPSolve, Span: 2, Status: "iteration-limit", DurUS: 40_000_000},
+		obs.Event{Kind: obs.KindLPSolve, Span: 2, Status: "iteration-limit", DurUS: 40_740_000},
+		obs.Event{Kind: obs.KindLPSolve, Span: 3, Status: "iteration-limit", DurUS: 80_400_000},
+		obs.Event{Kind: obs.KindLPSolve, Span: 4, Status: "optimal", DurUS: 100},
+		obs.Event{Kind: obs.KindLPSolve, Span: 4, Status: "infeasible", DurUS: 50},
+	)
+	var sb strings.Builder
+	printTree(&sb, events)
+	out := sb.String()
+	for _, want := range []string{
+		"(open)   [lp 4 x 12.0ms, 2 iteration-limit x 40.37s]\n",
+		"(open)   [lp 1 iteration-limit x 80.40s]\n",
+		"(open)   [lp 2 x 75us]\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("span tree missing %q:\n%s", want, out)
+		}
+	}
+}

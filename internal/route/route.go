@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -114,6 +113,7 @@ func Route(fp *core.Result, cfg Config) (*Result, error) {
 
 	orderIdx := netOrder(d)
 
+	s := newSearch(g, cfg)
 	res := &Result{Graph: g}
 	for _, ni := range orderIdx {
 		net := &d.Nets[ni]
@@ -132,22 +132,15 @@ func Route(fp *core.Result, cfg Config) (*Result, error) {
 				srcs = append(srcs, n)
 			}
 			sort.Ints(srcs)
-			dist, prevEdge := g.dijkstra(srcs, cfg)
-			// Pick the cheapest remaining terminal.
-			bi, bd := -1, math.Inf(1)
-			for k, t := range remaining {
-				if dist[t] < bd {
-					bi, bd = k, dist[t]
-				}
-			}
-			if bi < 0 || math.IsInf(bd, 1) {
+			bi := s.nearest(srcs, remaining)
+			if bi < 0 {
 				return nil, fmt.Errorf("route: net %q unroutable", net.Name)
 			}
 			t := remaining[bi]
 			remaining = append(remaining[:bi], remaining[bi+1:]...)
 			// Walk back, committing edges.
-			for n := t; prevEdge[n] >= 0; {
-				ei := prevEdge[n]
+			for n := t; s.prevEdge[n] >= 0; {
+				ei := s.prevEdge[n]
 				e := &g.Edges[ei]
 				e.Util++
 				nr.Edges = append(nr.Edges, ei)
@@ -166,8 +159,6 @@ func Route(fp *core.Result, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// netTerminals picks one generalized pin per module of the net: the pin
-// node nearest to the centroid of the net's module centers.
 // netOrder returns the routing priority: timing-critical nets first
 // [YOU89], then by descending weight, then by index for determinism.
 // Weights within the geometric tolerance tie-break by index rather than
@@ -192,6 +183,8 @@ func netOrder(d *netlist.Design) []int {
 	return orderIdx
 }
 
+// netTerminals picks one generalized pin per module of the net: the pin
+// node nearest to the centroid of the net's module centers.
 func netTerminals(fp *core.Result, g *Graph, pinNodes map[int][4]int, net *netlist.Net) []int {
 	var cx, cy float64
 	var cnt int
@@ -230,39 +223,78 @@ func netTerminals(fp *core.Result, g *Graph, pinNodes map[int][4]int, net *netli
 	return terms
 }
 
-// dijkstra computes cheapest paths from the source set under the
-// configured cost model. It returns per-node distance and the edge used
-// to reach each node (-1 for sources/unreached).
-func (g *Graph) dijkstra(sources []int, cfg Config) (dist []float64, prevEdge []int) {
+// search runs the router's shortest-path searches over one graph. Its
+// scratch is sized to the graph once and reused by every search of a
+// Route call.
+type search struct {
+	g        *Graph
+	cfg      Config
+	dist     []float64
+	prevEdge []int // edge used to reach each node; -1 for sources and unreached
+	heap     nodeHeap
+	isTarget []bool
+}
+
+func newSearch(g *Graph, cfg Config) *search {
 	n := len(g.Nodes)
-	dist = make([]float64, n)
-	prevEdge = make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevEdge[i] = -1
+	return &search{
+		g: g, cfg: cfg,
+		dist:     make([]float64, n),
+		prevEdge: make([]int, n),
+		isTarget: make([]bool, n),
 	}
-	pq := &nodeHeap{}
-	for _, s := range sources {
-		dist[s] = 0
-		heap.Push(pq, nodeDist{s, 0})
+}
+
+// nearest runs Dijkstra from the sources under the configured cost model
+// and returns the index in targets of the first target at the least
+// cost, or -1 when none is reachable; s.prevEdge then leads from that
+// target back to a source. The search stops once the smallest heap key
+// exceeds the cost of the nearest target settled so far, and the result
+// is still that of a search over the whole graph (DESIGN.md §3): edge
+// costs are positive, so a settled node keeps its cost and predecessor
+// edge, every node at most as far as the chosen target is settled before
+// the stop, and nodeHeap pops equal keys in container/heap's order.
+func (s *search) nearest(sources, targets []int) int {
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+		s.prevEdge[i] = -1
 	}
-	for pq.Len() > 0 {
-		nd := heap.Pop(pq).(nodeDist)
-		if nd.d > dist[nd.n]+1e-12 {
+	for _, t := range targets {
+		s.isTarget[t] = true
+	}
+	s.heap = s.heap[:0]
+	for _, src := range sources {
+		s.dist[src] = 0
+		s.heap.push(nodeDist{src, 0})
+	}
+	bound := math.Inf(1) // cost of the nearest target settled so far
+	for len(s.heap) > 0 && s.heap[0].d <= bound {
+		nd := s.heap.pop()
+		if nd.d > s.dist[nd.n]+1e-12 {
 			continue
 		}
-		for _, ei := range g.adj[nd.n] {
-			e := &g.Edges[ei]
-			c := g.edgeCost(e, cfg)
+		if s.isTarget[nd.n] && nd.d < bound {
+			bound = nd.d
+		}
+		for _, ei := range s.g.adj[nd.n] {
+			e := &s.g.Edges[ei]
+			c := s.g.edgeCost(e, s.cfg)
 			o := e.Other(nd.n)
-			if nd.d+c < dist[o]-1e-12 {
-				dist[o] = nd.d + c
-				prevEdge[o] = ei
-				heap.Push(pq, nodeDist{o, dist[o]})
+			if nd.d+c < s.dist[o]-1e-12 {
+				s.dist[o] = nd.d + c
+				s.prevEdge[o] = ei
+				s.heap.push(nodeDist{o, s.dist[o]})
 			}
 		}
 	}
-	return dist, prevEdge
+	bi, bd := -1, math.Inf(1)
+	for k, t := range targets {
+		s.isTarget[t] = false
+		if s.dist[t] < bd {
+			bi, bd = k, s.dist[t]
+		}
+	}
+	return bi
 }
 
 // edgeCost is the routing cost of adding one more track to edge e.
@@ -289,18 +321,44 @@ type nodeDist struct {
 	d float64
 }
 
+// nodeHeap is a binary min-heap on d. push and pop make the same
+// comparisons and swaps as container/heap's Push and Pop, so entries with
+// equal keys leave in the same order.
 type nodeHeap []nodeDist
 
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *nodeHeap) push(x nodeDist) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *nodeHeap) pop() nodeDist {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // adjustChannels grows the chip to fit routed demand that exceeds the

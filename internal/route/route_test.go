@@ -1,7 +1,12 @@
 package route
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"afp/internal/core"
@@ -272,5 +277,185 @@ func TestCorridors(t *testing.T) {
 func TestAlgorithmStrings(t *testing.T) {
 	if ShortestPath.String() != "shortest-path" || WeightedShortestPath.String() != "weighted-shortest-path" {
 		t.Fatal("Algorithm strings")
+	}
+}
+
+// refDijkstra is the router's original search, kept as the reference
+// for the early-stopping one: a full Dijkstra from the source set on
+// container/heap. It returns every node's cost and the edge used to
+// reach it (-1 for sources and unreached nodes).
+func refDijkstra(g *Graph, sources []int, cfg Config) (dist []float64, prevEdge []int) {
+	n := len(g.Nodes)
+	dist = make([]float64, n)
+	prevEdge = make([]int, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prevEdge[i] = -1
+	}
+	pq := &refHeap{}
+	for _, s := range sources {
+		dist[s] = 0
+		heap.Push(pq, nodeDist{s, 0})
+	}
+	for pq.Len() > 0 {
+		nd := heap.Pop(pq).(nodeDist)
+		if nd.d > dist[nd.n]+1e-12 {
+			continue
+		}
+		for _, ei := range g.adj[nd.n] {
+			e := &g.Edges[ei]
+			c := g.edgeCost(e, cfg)
+			o := e.Other(nd.n)
+			if nd.d+c < dist[o]-1e-12 {
+				dist[o] = nd.d + c
+				prevEdge[o] = ei
+				heap.Push(pq, nodeDist{o, dist[o]})
+			}
+		}
+	}
+	return dist, prevEdge
+}
+
+type refHeap []nodeDist
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(nodeDist)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// pathBack lists the edges from n back to a source along prevEdge.
+func pathBack(g *Graph, prevEdge []int, n int) []int {
+	var path []int
+	for prevEdge[n] >= 0 {
+		path = append(path, prevEdge[n])
+		n = g.Edges[prevEdge[n]].Other(n)
+	}
+	return path
+}
+
+// randomPacking places up to n non-overlapping modules with corners on a
+// half-unit lattice of a w x h chip, so modules abut, grid lines
+// coincide and path costs tie often.
+func randomPacking(rng *rand.Rand, n int, w, h float64) []geom.Rect {
+	var envs []geom.Rect
+	for tries := 0; len(envs) < n && tries < 50*n; tries++ {
+		rw, rh := 0.5*float64(1+rng.Intn(8)), 0.5*float64(1+rng.Intn(8))
+		if rw > w || rh > h {
+			continue
+		}
+		x := 0.5 * float64(rng.Intn(int((w-rw)/0.5)+1))
+		y := 0.5 * float64(rng.Intn(int((h-rh)/0.5)+1))
+		r := geom.NewRect(x, y, rw, rh)
+		ok := true
+		for _, o := range envs {
+			if r.Overlaps(o) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			envs = append(envs, r)
+		}
+	}
+	return envs
+}
+
+// symmetricPlan is a 3x3 array of equal modules with equal channels:
+// every grid path between two nodes has mirror twins of the same cost,
+// so which of two equal keys leaves the heap first decides the path.
+func symmetricPlan() []geom.Rect {
+	var envs []geom.Rect
+	for _, x := range []float64{0, 3, 6} {
+		for _, y := range []float64{0, 3, 6} {
+			envs = append(envs, geom.NewRect(x, y, 2, 2))
+		}
+	}
+	return envs
+}
+
+// checkNearest draws random congestion, sources and targets on g and
+// requires the early-stopping search to agree with the full reference
+// search on the chosen target, the bits of its cost, and its path back
+// to a source; every node at most that far away must also carry the
+// reference's cost and predecessor edge. One search value serves every
+// draw, so stale scratch would show.
+func checkNearest(t *testing.T, name string, g *Graph, rng *rand.Rand, draws int) {
+	t.Helper()
+	n := len(g.Nodes)
+	for _, alg := range []Algorithm{ShortestPath, WeightedShortestPath} {
+		cfg := Config{Algorithm: alg, Penalty: 4}
+		s := newSearch(g, cfg)
+		for draw := 0; draw < draws; draw++ {
+			for i := range g.Edges {
+				g.Edges[i].Util = rng.Intn(g.Edges[i].Cap + 3)
+			}
+			seen := map[int]bool{}
+			var srcs []int
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				if v := rng.Intn(n); !seen[v] {
+					seen[v] = true
+					srcs = append(srcs, v)
+				}
+			}
+			sort.Ints(srcs)
+			targets := make([]int, 1+rng.Intn(6))
+			for k := range targets {
+				targets[k] = rng.Intn(n) // may repeat or be a source
+			}
+
+			dist, prevEdge := refDijkstra(g, srcs, cfg)
+			want, wd := -1, math.Inf(1)
+			for k, v := range targets {
+				if dist[v] < wd {
+					want, wd = k, dist[v]
+				}
+			}
+			got := s.nearest(srcs, targets)
+			where := fmt.Sprintf("%s, %v, draw %d", name, alg, draw)
+			if got != want {
+				t.Fatalf("%s: target %d, reference %d (sources %v, targets %v)", where, got, want, srcs, targets)
+			}
+			if want < 0 {
+				continue
+			}
+			v := targets[want]
+			if math.Float64bits(s.dist[v]) != math.Float64bits(wd) {
+				t.Fatalf("%s: cost %v, reference %v", where, s.dist[v], wd)
+			}
+			if gp, wp := pathBack(g, s.prevEdge, v), pathBack(g, prevEdge, v); !slices.Equal(gp, wp) {
+				t.Fatalf("%s: path %v, reference %v", where, gp, wp)
+			}
+			for u := range dist {
+				if dist[u] <= wd && (math.Float64bits(s.dist[u]) != math.Float64bits(dist[u]) || s.prevEdge[u] != prevEdge[u]) {
+					t.Fatalf("%s: node %d at cost %v (edge %d), reference %v (edge %d)",
+						where, u, s.dist[u], s.prevEdge[u], dist[u], prevEdge[u])
+				}
+			}
+		}
+	}
+}
+
+func TestNearestMatchesFullSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		w, h := float64(8+rng.Intn(12)), float64(8+rng.Intn(12))
+		envs := randomPacking(rng, 4+rng.Intn(16), w, h)
+		checkNearest(t, fmt.Sprintf("packing %d", i), buildGraph(envs, w, h, 0.2, 0.2), rng, 40)
+	}
+	checkNearest(t, "symmetric", buildGraph(symmetricPlan(), 8, 8, 0.2, 0.2), rng, 200)
+	for _, env := range []bool{false, true} {
+		fp := table3Plan(t, env)
+		mods := make([]geom.Rect, len(fp.Placements))
+		for i, p := range fp.Placements {
+			mods[i] = p.Mod
+		}
+		checkNearest(t, fmt.Sprintf("ami33 envelopes=%v", env), buildGraph(mods, fp.ChipWidth, fp.Height, 0.2, 0.2), rng, 40)
 	}
 }
