@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short ci fmt vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check clean
+.PHONY: all build test test-short ci fmt vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check perfbench-check clean
 
 all: build
 
@@ -71,11 +71,20 @@ generate-check:
 		|| { echo "generate-check: internal/obs/schema.go is stale; run: go generate ./internal/obs"; rm -f internal/obs/.schema_check; exit 1; }
 	@rm -f internal/obs/.schema_check
 
+# perfbench-check vets and unit-tests the benchmark harness. perfbench
+# is a module of its own, so `go build ./...` and `make lint` never
+# compile it, yet it imports core, server, mipmodel and obs. It does not
+# run `go build ./...` there: for the one main package that writes a
+# perfbench/perfbench binary.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short ./...
+
 # ci is the gate run before merging: static checks (gofmt, go vet and
 # the custom analyzer suite), generated-file drift, a full build, the
-# short unit suite of every package, and the race-instrumented solver
-# tests.
-ci: fmt vet lint generate-check build test-short race
+# short unit suite of every package, the benchmark module's vet and
+# unit tests, and the race-instrumented solver tests.
+ci: fmt vet lint generate-check build test-short perfbench-check race
 
 # serve runs the HTTP solve service locally (see DESIGN.md section 8).
 serve:

@@ -104,9 +104,9 @@ func TestCLIFloorplanSAMethod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI e2e in -short mode")
 	}
-	out := runCLI(t, "floorplan", "", "-design", "rand10", "-method", "sa")
-	if !strings.Contains(out, "SA slicing") {
-		t.Fatalf("SA output missing:\n%s", out)
+	out := runCLI(t, "floorplan", "", "-design", "rand10", "-backend", "anneal")
+	if !strings.Contains(out, "winner anneal") {
+		t.Fatalf("anneal race output missing:\n%s", out)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"afp/internal/anneal"
 	"afp/internal/core"
 	"afp/internal/milp"
 	"afp/internal/mipmodel"
@@ -50,7 +49,6 @@ func run() error {
 		input     = flag.String("input", "", "netlist file (see internal/netlist format); empty uses -design")
 		blocks    = flag.String("blocks", "", "bookshelf .blocks file (use with -nets)")
 		netsFile  = flag.String("nets", "", "bookshelf .nets file (use with -blocks)")
-		method    = flag.String("method", "milp", "floorplanner: milp (the paper) or sa (Wong-Liu slicing baseline)")
 		design    = flag.String("design", "ami33", "built-in design: ami33 or rand<N> (e.g. rand20)")
 		seed      = flag.Int64("seed", 1, "seed for rand<N> designs and random ordering")
 		width     = flag.Float64("width", 0, "chip width W (0 = automatic)")
@@ -76,7 +74,7 @@ func run() error {
 		presolve  = flag.Bool("presolve", true, "tighten big-M coefficients and fix forced binaries before branch-and-bound")
 		verify    = flag.Bool("verify", false, "check the final floorplan for legality and exit non-zero on violations")
 		audit     = flag.Bool("audit", false, "statically audit every step's MILP before solving (defaults to the -verify setting)")
-		backend   = flag.String("backend", "", "solution paradigm: milp (default), portfolio (race all paradigms), anneal, seqpair or project")
+		backend   = flag.String("backend", "", "solution paradigm: milp (the paper, default), portfolio (race all paradigms), or one contestant raced alone: anneal (Wong-Liu slicing), seqpair or project")
 		race      = flag.String("portfolio", "", "comma-separated portfolio contestants to race (implies -backend=portfolio), e.g. milp,anneal,project")
 	)
 	flag.Parse()
@@ -125,31 +123,6 @@ func run() error {
 		return err
 	}
 
-	if *method == "sa" {
-		start := time.Now()
-		r, err := anneal.FloorplanCtx(ctx, d, anneal.Config{Seed: *seed, Obs: observer})
-		if err != nil {
-			if r == nil || !isCtxErr(err) {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "floorplan: annealing stopped early (%v); best incumbent follows\n", err)
-		}
-		fmt.Printf("design %s: %d modules, total area %.0f\n", d.Name, len(d.Modules), d.TotalArea())
-		fmt.Printf("SA slicing: chip %.1f x %.1f, area %.0f, utilization %.1f%%, HPWL %.0f, %v\n",
-			r.ChipWidth, r.Height, r.ChipArea(), 100*d.TotalArea()/r.ChipArea(), r.HPWL(),
-			time.Since(start).Round(time.Millisecond))
-		if *ascii {
-			fmt.Print(render.ASCII(r, 78))
-		}
-		if *svgOut != "" {
-			return writeSVG(*svgOut, r, nil)
-		}
-		return nil
-	}
-	if *method != "milp" {
-		return fmt.Errorf("unknown method %q", *method)
-	}
-
 	cfg := core.Config{
 		ChipWidth:    *width,
 		GroupSize:    *group,
@@ -180,7 +153,10 @@ func run() error {
 		return fmt.Errorf("unknown ordering %q", *ordering)
 	}
 
-	if *race != "" && *backend == "" {
+	if *race != "" {
+		if *backend != "" && *backend != "portfolio" {
+			return fmt.Errorf("-portfolio races contestants; it cannot run with -backend=%s", *backend)
+		}
 		*backend = "portfolio"
 	}
 
@@ -189,48 +165,39 @@ func run() error {
 	partial := false
 	switch {
 	case *backend != "" && *backend != "milp":
+		// Every other paradigm runs as a portfolio race, a single
+		// contestant as a race of one, so the per-backend outcome table
+		// is reported alongside the winning floorplan.
 		if *sweep {
 			return fmt.Errorf("-sweep is incompatible with -backend=%s", *backend)
 		}
-		cfg.Backend = *backend
-		cfg.BackendSeed = *seed
-		if *backend == "portfolio" {
-			// Drive the race directly so the per-backend outcome table can
-			// be reported alongside the winning floorplan.
-			popts := portfolio.Options{Seed: *seed, Obs: observer}
-			if *race != "" {
-				popts.Backends = strings.Split(*race, ",")
-			}
-			var pres *portfolio.Result
-			pres, err = portfolio.Solve(ctx, d, cfg, popts)
-			if err != nil {
-				if pres == nil || pres.Result == nil || !isCtxErr(err) {
-					return err
-				}
-				partial = true
-				fmt.Fprintf(os.Stderr, "floorplan: race stopped early (%v); best incumbent follows\n", err)
-			}
-			r = pres.Result
-			fmt.Printf("portfolio: winner %s, TTFF %v, proven bound %.2f (%s), %d incumbents, %d rejected\n",
-				pres.Winner, pres.TTFF.Round(time.Microsecond), pres.Bound, pres.BoundSource,
-				len(pres.Incumbents), pres.Rejected)
-			for _, b := range pres.Backends {
-				h := "-"
-				if b.Published > 0 {
-					h = fmt.Sprintf("%.2f", b.Height)
-				}
-				fmt.Printf("  %-8s %-9s height %-8s published %-3d nodes %-6d wall %v\n",
-					b.Name, b.Outcome, h, b.Published, b.Nodes, b.Wall.Round(time.Millisecond))
-			}
-			break
+		popts := portfolio.Options{Seed: *seed, Obs: observer}
+		switch {
+		case *backend != "portfolio":
+			popts.Backends = []string{*backend}
+		case *race != "":
+			popts.Backends = strings.Split(*race, ",")
 		}
-		r, err = core.FloorplanCtx(ctx, d, cfg)
+		var pres *portfolio.Result
+		pres, err = portfolio.Solve(ctx, d, cfg, popts)
 		if err != nil {
-			if r == nil || !isCtxErr(err) {
+			if pres == nil || !isCtxErr(err) {
 				return err
 			}
 			partial = true
-			fmt.Fprintf(os.Stderr, "floorplan: stopped early (%v); best incumbent follows\n", err)
+			fmt.Fprintf(os.Stderr, "floorplan: race stopped early (%v); best incumbent follows\n", err)
+		}
+		r = pres.Result
+		fmt.Printf("portfolio: winner %s, TTFF %v, proven bound %.2f (%s), %d incumbents, %d rejected\n",
+			pres.Winner, pres.TTFF.Round(time.Microsecond), pres.Bound, pres.BoundSource,
+			len(pres.Incumbents), pres.Rejected)
+		for _, b := range pres.Backends {
+			h := "-"
+			if b.Published > 0 {
+				h = fmt.Sprintf("%.2f", b.Height)
+			}
+			fmt.Printf("  %-8s %-9s height %-8s published %-3d nodes %-6d wall %v\n",
+				b.Name, b.Outcome, h, b.Published, b.Nodes, b.Wall.Round(time.Millisecond))
 		}
 	case *sweep:
 		var trials []core.SweepResult

@@ -17,7 +17,7 @@ import (
 //	                           hold <receiver expression>.mu
 //	// locked: b.mu            a parameter's mutex, matched the same way
 //	                           against the corresponding argument
-//	// locked: backendMu       a package-level mutex in the same package
+//	// locked: regMu           a package-level mutex in the same package
 //	// locked: obs.Metrics.mu  an identity: any lock whose canonical
 //	                           name is pkg.Type.field, whoever owns it
 //

@@ -17,11 +17,11 @@ import (
 // Locks are named two ways:
 //
 //   - by expression, the source text of the mutex operand ("ps.mu",
-//     "backendMu") — instance-precise within one function body;
+//     "regMu") — instance-precise within one function body;
 //   - by identity, a canonical cross-package string — "pkg.Type.field"
 //     for a mutex struct field (e.g. "milp.solver.mu") or "pkg.var"
-//     for a package-level mutex (e.g. "core.backendMu"). Identity names
-//     the lock *class*, not the instance.
+//     for a package-level mutex (e.g. "locked.regMu" in the analyzer
+//     fixtures). Identity names the lock *class*, not the instance.
 //
 // RLock/RUnlock are treated like Lock/Unlock: the analyzers check that
 // *a* hold exists, not its mode. The replay is lexical — conditionals
@@ -326,7 +326,7 @@ const (
 //
 //	// locked: ps.mu          receiver form — call sites must hold <recv expr>.mu
 //	// locked: b.mu           parameter form, when b names a parameter
-//	// locked: backendMu      package-var form, resolved in package scope
+//	// locked: regMu          package-var form, resolved in package scope
 //	// locked: obs.Metrics.mu identity form — any lock of that identity
 //
 // Malformed specs are returned in diags rather than dropped.

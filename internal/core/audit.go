@@ -1,30 +1,18 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"afp/internal/mipmodel"
 	"afp/internal/mipmodel/modelcheck"
 	"afp/internal/netlist"
 )
 
-// auditStep runs the static model audit on a built subproblem when
-// Config.Audit is set, turning findings into a hard error: a model that
-// fails its own structural invariants must not be handed to the solver.
-func (c *Config) auditStep(built *mipmodel.Built, step int) error {
-	if !c.Audit {
-		return nil
-	}
-	if fs := modelcheck.Audit(built); len(fs) > 0 {
-		return fmt.Errorf("step %d: model audit failed: %s", step, joinFindings(fs))
-	}
-	return nil
-}
-
 // AuditDesign statically audits the design's MILP formulation without
-// solving anything: it builds the single whole-design model of Section
-// 2.3 under the given configuration and runs the modelcheck audit on it.
+// solving anything: it builds and presolves the single whole-design
+// model of Section 2.3 under the given configuration, the model
+// FloorplanExact would search, and runs the modelcheck audit on it.
 // The floorplan service calls it on every solve request before dispatch,
 // so malformed instances (a module wider than the chip, a formulation
 // bug) are rejected up front rather than burning solver time.
@@ -32,16 +20,14 @@ func AuditDesign(d *netlist.Design, cfg Config) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	c := cfg.withDefaults(d)
 	if len(d.Modules) == 0 {
 		return nil
 	}
-	built, err := mipmodel.Build(c.exactSpec(d))
-	if err != nil {
+	c := cfg.withDefaults(d)
+	c.Audit = true
+	//vet:allow ctxsolve -- AuditDesign solves nothing; the presolve span roots here
+	if _, _, err := newStepModels(&c, d).build(context.Background(), 0, allIndices(len(d.Modules)), nil, nil, true); err != nil {
 		return fmt.Errorf("core: audit: %w", err)
-	}
-	if fs := modelcheck.Audit(built); len(fs) > 0 {
-		return fmt.Errorf("core: audit: %s", joinFindings(fs))
 	}
 	return nil
 }

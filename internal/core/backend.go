@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"sort"
-	"sync"
 
 	"afp/internal/geom"
 	"afp/internal/netlist"
@@ -18,51 +15,6 @@ import (
 // treat it as a successful concession, not a failure; test with
 // errors.Is.
 var ErrDominated = errors.New("dominated by external incumbent")
-
-// BackendFunc solves a whole design end to end under a context. It is
-// the contract alternative solution paradigms implement to become
-// selectable through Config.Backend: the function receives the same
-// Config the augmentation path would and returns a decoded Result (or a
-// partial result alongside ctx.Err() on cancellation, matching
-// FloorplanCtx's convention).
-type BackendFunc func(ctx context.Context, d *netlist.Design, cfg Config) (*Result, error)
-
-var (
-	backendMu  sync.RWMutex
-	backendReg = map[string]BackendFunc{} // guarded by backendMu
-)
-
-// RegisterBackend makes fn selectable through Config.Backend under the
-// given name; "" and "milp" are reserved for the built-in successive
-// augmentation. Registration happens in package init functions —
-// importing internal/portfolio registers "portfolio", "anneal",
-// "seqpair" and "project" — and a later registration of a name replaces
-// the earlier one.
-func RegisterBackend(name string, fn BackendFunc) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	backendReg[name] = fn
-}
-
-// Backends returns the selectable backend names, sorted, including the
-// built-in "milp".
-func Backends() []string {
-	backendMu.RLock()
-	names := make([]string, 0, len(backendReg)+1)
-	for name := range backendReg {
-		names = append(names, name)
-	}
-	backendMu.RUnlock()
-	names = append(names, "milp")
-	sort.Strings(names)
-	return names
-}
-
-func lookupBackend(name string) BackendFunc {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendReg[name]
-}
 
 // ChipWidthFor resolves the chip width a solve of d under cfg will use:
 // cfg.ChipWidth when positive, otherwise the automatic width derived

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"afp/internal/geom"
 	"afp/internal/milp"
 	"afp/internal/mipmodel"
+	"afp/internal/mipmodel/modelcheck"
 	"afp/internal/netlist"
 	"afp/internal/obs"
 	"afp/internal/order"
@@ -98,20 +98,6 @@ type Config struct {
 	// milliseconds per step and exists to catch formulation regressions,
 	// so CLIs enable it together with -verify.
 	Audit bool
-	// Backend selects the solution paradigm. "" and "milp" run the
-	// paper's successive augmentation (the default); any other name
-	// dispatches to a backend registered via RegisterBackend — importing
-	// internal/portfolio provides "portfolio" (race every paradigm with a
-	// shared incumbent board) plus standalone "anneal", "seqpair" and
-	// "project".
-	Backend string
-	// BackendBudget caps the wall time of individual portfolio
-	// contestants by backend name; zero or missing entries mean no
-	// per-backend cap beyond the surrounding context.
-	BackendBudget map[string]time.Duration
-	// BackendSeed seeds the stochastic backends (anneal, seqpair,
-	// project).
-	BackendSeed int64
 	// ExternalBound, when set under the AreaOnly objective (whose step
 	// MILPs minimize the chip height directly), supplies an
 	// externally-verified feasible chip height and its producer label.
@@ -204,13 +190,6 @@ func Floorplan(d *netlist.Design, cfg Config) (*Result, error) {
 // partial results against deadlines; callers that need an all-or-nothing
 // answer should discard the result when err != nil.
 func FloorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (res *Result, err error) {
-	if name := cfg.Backend; name != "" && name != "milp" {
-		fn := lookupBackend(name)
-		if fn == nil {
-			return nil, fmt.Errorf("core: unknown backend %q (have: %s)", name, strings.Join(Backends(), ", "))
-		}
-		return fn(ctx, d, cfg)
-	}
 	cfg.Obs.Do(ctx, "solve", obs.SpanAttrs{Detail: d.Name}, func(ctx context.Context) {
 		res, err = floorplanCtx(ctx, d, cfg)
 	})
@@ -239,34 +218,7 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		return nil, fmt.Errorf("core: ordering has %d entries for %d modules", len(ord), n)
 	}
 
-	var connMat [][]float64
-	if c.Objective == mipmodel.AreaWire {
-		connMat = d.Connectivity()
-	}
-
-	// Critical-pair list per module pair, derived once from the critical
-	// nets (Section 2.2 timing constraints).
-	var critPairs [][2]int
-	if c.CriticalMaxLen > 0 {
-		seen := map[[2]int]bool{}
-		for _, net := range d.Nets {
-			if !net.Critical {
-				continue
-			}
-			for a := 0; a < len(net.Modules); a++ {
-				for b := a + 1; b < len(net.Modules); b++ {
-					i, j := net.Modules[a], net.Modules[b]
-					if i > j {
-						i, j = j, i
-					}
-					if !seen[[2]int{i, j}] {
-						seen[[2]int{i, j}] = true
-						critPairs = append(critPairs, [2]int{i, j})
-					}
-				}
-			}
-		}
-	}
+	models := newStepModels(&c, d)
 
 	// partial finalizes the result placed so far; it is what cancellation
 	// returns alongside ctx.Err().
@@ -305,69 +257,9 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			if c.NoCoveringRects {
 				obstacles = append([]geom.Rect(nil), envs...)
 			}
-			spec := &mipmodel.Spec{
-				ChipWidth:  c.ChipWidth,
-				Objective:  c.Objective,
-				WireWeight: c.WireWeight,
-				Linearize:  c.Linearize,
-				Obstacles:  obstacles,
-				BlanketM:   c.NoPresolve,
-			}
-			for _, mi := range group {
-				m := &d.Modules[mi]
-				padW, padH := c.pads(m)
-				spec.New = append(spec.New, mipmodel.NewModule{Index: mi, Mod: m, PadW: padW, PadH: padH})
-			}
-			inGroup := make(map[int]bool, len(group))
-			for _, mi := range group {
-				inGroup[mi] = true
-			}
-
-			// Critical pairs touching the group; also collect the placed modules
-			// those pairs need as anchors.
-			needAnchor := map[int]bool{}
-			for _, cp := range critPairs {
-				i, j := cp[0], cp[1]
-				if inGroup[i] || inGroup[j] {
-					spec.Critical = append(spec.Critical,
-						mipmodel.CriticalPair{A: i, B: j, MaxLen: c.CriticalMaxLen})
-					if !inGroup[i] {
-						needAnchor[i] = true
-					}
-					if !inGroup[j] {
-						needAnchor[j] = true
-					}
-				}
-			}
-
-			if c.Objective == mipmodel.AreaWire {
-				spec.Conn = func(a, b int) float64 { return connMat[a][b] }
-				// Anchor every placed module that connects to the group.
-				for _, p := range res.Placements {
-					for _, mi := range group {
-						if connMat[p.Index][mi] > 0 {
-							needAnchor[p.Index] = true
-							break
-						}
-					}
-				}
-			}
-			for _, p := range res.Placements {
-				if needAnchor[p.Index] {
-					spec.Anchors = append(spec.Anchors,
-						mipmodel.Anchor{Index: p.Index, X: p.Mod.CenterX(), Y: p.Mod.CenterY()})
-				}
-			}
-
-			built, err := mipmodel.Build(spec)
+			spec, built, err := models.build(ctx, step, group, obstacles, res.Placements, true)
 			if err != nil {
 				stepRes, stepErr = nil, fmt.Errorf("core: step %d: %w", step, err)
-				stop = true
-				return
-			}
-			c.presolve(ctx, built, step)
-			if err := c.auditStep(built, step); err != nil {
-				stepRes, stepErr = nil, fmt.Errorf("core: %w", err)
 				stop = true
 				return
 			}
@@ -413,16 +305,9 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 				// without them, as the paper's method degrades these constraints
 				// to objectives rather than failing the floorplan.
 				relaxed = true
-				spec.Critical = nil
-				built, err = mipmodel.Build(spec)
+				spec, built, err = models.build(ctx, step, group, obstacles, res.Placements, false)
 				if err != nil {
 					stepRes, stepErr = nil, fmt.Errorf("core: step %d: %w", step, err)
-					stop = true
-					return
-				}
-				c.presolve(ctx, built, step)
-				if err := c.auditStep(built, step); err != nil {
-					stepRes, stepErr = nil, fmt.Errorf("core: %w", err)
 					stop = true
 					return
 				}
@@ -506,6 +391,104 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		return opt, nil
 	}
 	return res, nil
+}
+
+// stepModels builds every step's MILP from what the design contributes
+// to each, derived once per solve: the module connectivity under the
+// AreaWire objective and the module pairs sharing a critical net (the
+// Section 2.2 timing constraints), deduplicated.
+type stepModels struct {
+	c    *Config
+	d    *netlist.Design
+	conn [][]float64
+	crit [][2]int
+}
+
+func newStepModels(c *Config, d *netlist.Design) *stepModels {
+	sm := &stepModels{c: c, d: d}
+	if c.Objective == mipmodel.AreaWire {
+		sm.conn = d.Connectivity()
+	}
+	if c.CriticalMaxLen <= 0 {
+		return sm
+	}
+	seen := map[[2]int]bool{}
+	for _, net := range d.Nets {
+		if !net.Critical {
+			continue
+		}
+		for a := 0; a < len(net.Modules); a++ {
+			for b := a + 1; b < len(net.Modules); b++ {
+				pair := [2]int{min(net.Modules[a], net.Modules[b]), max(net.Modules[a], net.Modules[b])}
+				if !seen[pair] {
+					seen[pair] = true
+					sm.crit = append(sm.crit, pair)
+				}
+			}
+		}
+	}
+	return sm
+}
+
+// build builds the MILP placing group above the obstacles, then
+// presolves it and, under Config.Audit, audits it. With critical set the
+// critical pairs touching the group bound their length; every placed
+// module such a pair or, under AreaWire, a net of the group reaches is
+// anchored at its center.
+func (sm *stepModels) build(ctx context.Context, step int, group []int, obstacles []geom.Rect, placed []Placement, critical bool) (*mipmodel.Spec, *mipmodel.Built, error) {
+	c := sm.c
+	spec := &mipmodel.Spec{
+		ChipWidth:  c.ChipWidth,
+		Objective:  c.Objective,
+		WireWeight: c.WireWeight,
+		Linearize:  c.Linearize,
+		Obstacles:  obstacles,
+		BlanketM:   c.NoPresolve,
+	}
+	inGroup := make(map[int]bool, len(group))
+	for _, mi := range group {
+		m := &sm.d.Modules[mi]
+		padW, padH := c.pads(m)
+		spec.New = append(spec.New, mipmodel.NewModule{Index: mi, Mod: m, PadW: padW, PadH: padH})
+		inGroup[mi] = true
+	}
+	needAnchor := map[int]bool{}
+	for _, cp := range sm.crit {
+		if critical && (inGroup[cp[0]] || inGroup[cp[1]]) {
+			spec.Critical = append(spec.Critical,
+				mipmodel.CriticalPair{A: cp[0], B: cp[1], MaxLen: c.CriticalMaxLen})
+			needAnchor[cp[0]], needAnchor[cp[1]] = true, true
+		}
+	}
+	if sm.conn != nil {
+		spec.Conn = func(a, b int) float64 { return sm.conn[a][b] }
+		for _, p := range placed {
+			for _, mi := range group {
+				if sm.conn[p.Index][mi] > 0 {
+					needAnchor[p.Index] = true
+					break
+				}
+			}
+		}
+	}
+	for _, p := range placed {
+		if needAnchor[p.Index] {
+			spec.Anchors = append(spec.Anchors,
+				mipmodel.Anchor{Index: p.Index, X: p.Mod.CenterX(), Y: p.Mod.CenterY()})
+		}
+	}
+
+	built, err := mipmodel.Build(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.presolve(ctx, built, step)
+	if c.Audit {
+		if fs := modelcheck.Audit(built); len(fs) > 0 {
+			return nil, nil, fmt.Errorf("model audit failed: %s", joinFindings(fs))
+		}
+	}
+	return spec, built, nil
 }
 
 // presolve runs the geometric presolve pass on a built subproblem unless

@@ -53,7 +53,7 @@ func TestSolveCtxDeadlinePartialResult(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	res := SolveCtx(ctx, m, Options{Incumbent: nil, RootRounding: true})
+	res := SolveCtx(ctx, m, Options{})
 	elapsed := time.Since(start)
 	if elapsed > 4*deadline {
 		t.Fatalf("deadline solve took %v, want <= %v", elapsed, 4*deadline)

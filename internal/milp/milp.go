@@ -89,9 +89,6 @@ type Options struct {
 	Incumbent []float64
 	// LP tunes the relaxation solver.
 	LP lp.Options
-	// RootRounding enables a cheap dive heuristic at the root: round the
-	// relaxation's integer values and re-solve the continuous part.
-	RootRounding bool
 	// External optionally supplies an externally-proven feasible objective
 	// value (in the problem's original sense) together with a label naming
 	// its producer, e.g. "portfolio:anneal". The search polls it at node

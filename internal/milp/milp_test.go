@@ -203,13 +203,6 @@ func TestTimeLimit(t *testing.T) {
 	}
 }
 
-func TestRootRounding(t *testing.T) {
-	res := solveKnapsack(t, Options{RootRounding: true})
-	if res.Status != StatusOptimal || math.Abs(res.Objective-22) > 1e-6 {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
 // Exhaustive cross-check on random small binary programs: branch and bound
 // must match brute-force enumeration at one worker and at four.
 func TestBruteForceCrossCheck(t *testing.T) {

@@ -25,7 +25,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for _, opt := range []Options{
 			{Workers: 4},
 			{Workers: 4, Branching: PseudoCost},
-			{Workers: 3, RootRounding: true},
+			{Workers: 3},
 		} {
 			par := Solve(m, opt)
 			if par.Status != serial.Status {

@@ -16,7 +16,7 @@ func TestRecordedEventsMatchSchema(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"serial", Options{Workers: 1, Presolve: true, RootRounding: true}},
+		{"serial", Options{Workers: 1, Presolve: true}},
 		{"parallel", Options{Workers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -177,7 +177,7 @@ func search(ctx context.Context, m *Model, opt Options, workers int) *Result {
 			defer wg.Done()
 			s.o.Do(ctx, "bb.worker", obs.SpanAttrs{Worker: w.id}, func(ctx context.Context) {
 				w.ctx = ctx
-				w.run(rootLo, rootHi)
+				w.run()
 			})
 		}(w)
 	}
@@ -492,14 +492,14 @@ func pseudo(sum float64, n int) float64 {
 
 // run is one worker's loop: take a node, process it, dive on the child
 // it kept, until next reports the search over.
-func (w *worker) run(rootLo, rootHi []float64) {
+func (w *worker) run() {
 	var local *node
 	for {
 		n := w.s.next(w.id, local)
 		if n == nil {
 			return
 		}
-		local = w.process(n, rootLo, rootHi)
+		local = w.process(n)
 	}
 }
 
@@ -548,7 +548,7 @@ func (w *worker) tryHint(hint []float64, rootLo, rootHi []float64) {
 
 // process explores one node and returns the dive child this worker
 // keeps, or nil when the node closed.
-func (w *worker) process(n *node, rootLo, rootHi []float64) *node {
+func (w *worker) process(n *node) *node {
 	s := w.s
 	w.setIntBounds(n)
 	sol, obj := w.solveLP()
@@ -595,8 +595,6 @@ func (w *worker) process(n *node, rootLo, rootHi []float64) *node {
 		return nil
 	}
 
-	// The branch value is read before the rounding dive: the hint's
-	// re-solve overwrites the warm solver's reused X buffer.
 	frac, x := s.pickBranchVar(sol.X, n)
 	if frac < 0 {
 		if sol.Status == lp.StatusIterLimit {
@@ -612,9 +610,6 @@ func (w *worker) process(n *node, rootLo, rootHi []float64) *node {
 		s.publishIncumbent(w.id, n, sol.X, obj)
 		s.emitClose(w.id, n, "integer", obj)
 		return nil
-	}
-	if n.id == 1 && s.opt.RootRounding {
-		w.tryHint(sol.X, rootLo, rootHi)
 	}
 	fl := math.Floor(x)
 	down := &node{lo: cloneF(n.lo), hi: cloneF(n.hi), bound: obj, depth: n.depth + 1, branchVar: frac, owner: w.id}

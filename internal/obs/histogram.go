@@ -128,11 +128,14 @@ func (m *Metrics) Histograms() map[string]HistogramSnapshot {
 	return out
 }
 
-// MetricsSink is an obs.Sink deriving histogram distributions from the
-// event stream, so a service can aggregate latency distributions across
+// MetricsSink is an obs.Sink deriving histogram distributions and trust
+// counters from the event stream, so a service can aggregate them across
 // jobs without threading a Metrics handle through every solver option:
 // lp.solve durations land in lp_solve_us, node.close depths in
-// node_depth, step.done durations in step_us.
+// node_depth, step.done durations in step_us. LPs stopped at their
+// iteration cap count in lp_iterlimit, and augmentation steps whose node
+// or time budget ran out before a proof (status feasible or limit) in
+// steps_limit.
 type MetricsSink struct {
 	M *Metrics
 }
@@ -142,10 +145,16 @@ func (s MetricsSink) Emit(e Event) {
 	switch e.Kind {
 	case KindLPSolve:
 		s.M.Observe("lp_solve_us", float64(e.DurUS))
+		if e.Status == "iteration-limit" {
+			s.M.Count("lp_iterlimit", 1)
+		}
 	case KindNodeClose:
 		s.M.Observe("node_depth", float64(e.Depth))
 	case KindStepDone:
 		s.M.Observe("step_us", float64(e.DurUS))
+		if e.Status == "feasible" || e.Status == "limit" {
+			s.M.Count("steps_limit", 1)
+		}
 	case KindPortfolioIncumbent:
 		if e.First {
 			// Time-to-first-feasible of the whole race, one sample per solve.

@@ -98,6 +98,41 @@ func TestMetricsSink(t *testing.T) {
 	}
 }
 
+// The trust counters: only iteration-limit LPs and unproven steps count,
+// and they reach the Prometheus exposition as *_total series.
+func TestMetricsSinkTrustCounters(t *testing.T) {
+	var m Metrics
+	s := MetricsSink{M: &m}
+	for _, e := range []Event{
+		{Kind: KindLPSolve, Status: "optimal"},
+		{Kind: KindLPSolve, Status: "iteration-limit"},
+		{Kind: KindLPSolve, Status: "iteration-limit"},
+		{Kind: KindLPSolve, Status: "infeasible"},
+		{Kind: KindStepDone, Status: "optimal"},
+		{Kind: KindStepDone, Status: "feasible"},
+		{Kind: KindStepDone, Status: "limit"},
+		{Kind: KindStepDone, Status: "dominated"},
+		{Kind: KindSearchDone, Status: "limit"}, // not a step
+	} {
+		s.Emit(e)
+	}
+	if got := m.Counter("lp_iterlimit"); got != 2 {
+		t.Errorf("lp_iterlimit = %d, want 2", got)
+	}
+	if got := m.Counter("steps_limit"); got != 2 {
+		t.Errorf("steps_limit = %d, want 2", got)
+	}
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"lp_iterlimit_total 2", "steps_limit_total 2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	var m Metrics
 	m.Count("jobs_done", 3)

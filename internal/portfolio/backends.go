@@ -50,7 +50,6 @@ func (milpBackend) exact() bool  { return true }
 
 func (milpBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
 	c := cfg
-	c.Backend = ""
 	c.ChipWidth = width
 	c.ExternalBound = board.Best
 	c.Obs = opts.Obs

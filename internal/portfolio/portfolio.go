@@ -2,14 +2,18 @@
 // paper's exact successive-augmentation MILP, the slicing and
 // sequence-pair annealers, and an alternating-projection feasibility
 // searcher — concurrently on one instance with a shared incumbent board
-// (ROADMAP item 5; algorithm-portfolio bound sharing in the style of
-// Huchette, Dey and Vielma). Every contestant solves the same
-// fixed-width instance; any backend publishing a *verified* feasible
-// height immediately tightens the MILP's branch-and-bound cutoff through
-// milp.Options.External, and when the exact backend proves its answer
-// (optimality or domination of the incumbent) the losers are
-// context-cancelled. Importing the package registers the "portfolio",
-// "anneal", "seqpair" and "project" backends with core.Config.Backend.
+// (algorithm-portfolio bound sharing in the style of Huchette, Dey and
+// Vielma). Every contestant solves the same fixed-width instance; any
+// backend publishing a *verified* feasible height immediately tightens
+// the MILP's branch-and-bound cutoff through milp.Options.External, and
+// when the exact backend proves its answer (optimality or domination of
+// the incumbent) the losers are context-cancelled.
+//
+// It is the one place a solution paradigm other than the paper's MILP
+// is chosen: the service and the floorplan CLI run a single heuristic
+// as a race of one (Options.Backends with one name), so it solves at
+// the same fixed width and through the same verification gate as in a
+// full race.
 package portfolio
 
 import (
@@ -255,35 +259,4 @@ func outcomeSummary(outcomes []BackendResult) string {
 		parts[i] = s
 	}
 	return strings.Join(parts, ", ")
-}
-
-func init() {
-	core.RegisterBackend("portfolio", func(ctx context.Context, d *netlist.Design, cfg core.Config) (*core.Result, error) {
-		r, err := Solve(ctx, d, cfg, Options{
-			Budget: cfg.BackendBudget, Seed: cfg.BackendSeed, Obs: cfg.Obs,
-		})
-		if r == nil || r.Result == nil {
-			return nil, err
-		}
-		return r.Result, err
-	})
-	core.RegisterBackend("anneal", singleBackend("anneal"))
-	core.RegisterBackend("seqpair", singleBackend("seqpair"))
-	core.RegisterBackend("project", singleBackend("project"))
-}
-
-// singleBackend adapts one contestant to the core backend contract: a
-// race of one, with the same fixed width, verification gate and
-// telemetry as a full portfolio.
-func singleBackend(name string) core.BackendFunc {
-	return func(ctx context.Context, d *netlist.Design, cfg core.Config) (*core.Result, error) {
-		r, err := Solve(ctx, d, cfg, Options{
-			Backends: []string{name},
-			Budget:   cfg.BackendBudget, Seed: cfg.BackendSeed, Obs: cfg.Obs,
-		})
-		if r == nil || r.Result == nil {
-			return nil, err
-		}
-		return r.Result, err
-	}
 }

@@ -179,36 +179,25 @@ func TestRaceMilpConcedesToHeuristics(t *testing.T) {
 	}
 }
 
-// The backend registry: core.Config.Backend dispatches into this
-// package for portfolio and the standalone heuristics, and rejects
-// unknown names with the available set.
-func TestCoreBackendRegistry(t *testing.T) {
+// A race of one is how the service and the floorplan CLI run a single
+// heuristic: the contestant's verified floorplan comes back under its
+// own name, at the race's fixed width.
+func TestSingleContestantRace(t *testing.T) {
 	d := flex9()
+	width := core.ChipWidthFor(d, core.Config{})
 	for _, name := range []string{"anneal", "seqpair", "project"} {
-		cfg := core.Config{Backend: name, BackendSeed: 5}
-		r, err := core.FloorplanCtx(context.Background(), d, cfg)
+		res, err := Solve(context.Background(), d, core.Config{}, Options{Backends: []string{name}, Seed: 5})
 		if err != nil {
-			t.Fatalf("backend %s: %v", name, err)
+			t.Fatalf("race of %s: %v", name, err)
 		}
-		if r.Source != name {
-			t.Fatalf("backend %s: source = %q", name, r.Source)
+		if res.Winner != name || res.Source != name {
+			t.Fatalf("race of %s: winner %q, source %q", name, res.Winner, res.Source)
 		}
-		if v := r.Verify(); len(v) > 0 {
-			t.Fatalf("backend %s: illegal floorplan: %v", name, v)
+		if math.Abs(res.ChipWidth-width) > 1e-9 {
+			t.Fatalf("race of %s: chip width %v, want the race width %v", name, res.ChipWidth, width)
 		}
-	}
-	_, err := core.FloorplanCtx(context.Background(), d, core.Config{Backend: "nope"})
-	if err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("unknown backend error = %v", err)
-	}
-	names := core.Backends()
-	for _, want := range []string{"milp", "portfolio", "anneal", "seqpair", "project"} {
-		found := false
-		for _, n := range names {
-			found = found || n == want
-		}
-		if !found {
-			t.Fatalf("Backends() = %v, missing %q", names, want)
+		if v := res.Verify(); len(v) > 0 {
+			t.Fatalf("race of %s: illegal floorplan: %v", name, v)
 		}
 	}
 }

@@ -13,12 +13,6 @@ func TestBackendValidation(t *testing.T) {
 	if _, err := Resolve(req); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("unknown backend error = %v", err)
 	}
-	req = smallRequest()
-	req.Options.Solver = "anneal"
-	req.Options.Backend = "portfolio"
-	if _, err := Resolve(req); err == nil || !strings.Contains(err.Error(), "augment") {
-		t.Fatalf("backend+anneal-solver error = %v", err)
-	}
 }
 
 // The backend changes which floorplan comes back, so it must be part of
@@ -47,6 +41,37 @@ func TestBackendInCacheKey(t *testing.T) {
 			}
 		}
 		seen[b] = k
+	}
+}
+
+// A single heuristic runs end to end through the service as a race of
+// one: the job ends done with the contestant as its source, a legal
+// complete floorplan at the job's chip width, and a repeat submission
+// is a cache hit.
+func TestAnnealJob(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1})
+	req := smallRequest()
+	req.Options.Backend = "anneal"
+	req.Options.ChipWidth = 6
+	req.Options.TimeoutMS = 30000
+	sr := ts.submit(t, req, http.StatusAccepted)
+	v := ts.await(t, sr.ID, 30*time.Second)
+	if v.State != StateDone {
+		t.Fatalf("anneal job state = %s (%s)", v.State, v.Error)
+	}
+	var res ResultPayload
+	ts.do(t, "GET", "/v1/jobs/"+sr.ID+"/result", nil, http.StatusOK, &res)
+	if res.Source != "anneal" {
+		t.Fatalf("result source = %q, want anneal", res.Source)
+	}
+	if len(res.Violations) > 0 || res.Placed != res.Modules {
+		t.Fatalf("anneal result: violations %v, placed %d/%d", res.Violations, res.Placed, res.Modules)
+	}
+	if res.ChipWidth != 6 {
+		t.Fatalf("anneal chip width = %v, want the requested 6", res.ChipWidth)
+	}
+	if sr2 := ts.submit(t, req, http.StatusOK); !sr2.Cached {
+		t.Fatalf("second anneal submission not served from cache: %+v", sr2)
 	}
 }
 

@@ -35,16 +35,14 @@ type SolveRequest struct {
 }
 
 // SolveOptions selects and tunes the solver. The zero value means: the
-// successive-augmentation solver, automatic chip width, area objective,
-// library defaults everywhere, no deadline.
+// paper's successive-augmentation MILP, automatic chip width, area
+// objective, library defaults everywhere, no deadline.
 type SolveOptions struct {
-	// Solver is "augment" (successive augmentation, the default) or
-	// "anneal" (the Wong-Liu slicing baseline).
-	Solver string `json:"solver,omitempty"`
-	// Backend selects the solution paradigm of an "augment" job: ""
-	// or "milp" for the paper's successive augmentation, "portfolio" to
-	// race every paradigm with a shared incumbent board, or a standalone
-	// contestant ("anneal", "seqpair", "project"). Unlike TimeoutMS and
+	// Backend selects the solution paradigm: "milp" (the default) for the
+	// paper's successive augmentation, "portfolio" to race every paradigm
+	// with a shared incumbent board, or one contestant ("anneal",
+	// "seqpair", "project") run as a race of one. Every paradigm solves
+	// at the job's chip width under its objective. Unlike TimeoutMS and
 	// Workers, the backend changes which floorplan comes back, so it is
 	// part of the cache key.
 	Backend string `json:"backend,omitempty"`
@@ -58,7 +56,8 @@ type SolveOptions struct {
 	WireWeight float64 `json:"wireWeight,omitempty"`
 	// PostOptimize runs the Section 2.5 fixed-topology LP afterwards.
 	PostOptimize bool `json:"postOptimize,omitempty"`
-	// AnnealSeed seeds the annealing baseline.
+	// AnnealSeed seeds the stochastic contestants of the portfolio and
+	// anneal, seqpair and project backends; the milp backend ignores it.
 	AnnealSeed int64 `json:"annealSeed,omitempty"`
 	// TimeoutMS is the per-job solve deadline in milliseconds; 0 means
 	// none. Deadlines are enforced down in the pivot loops, and a job cut
@@ -155,22 +154,13 @@ func Resolve(req *SolveRequest) (*Instance, error) {
 	}
 
 	opts := req.Options
-	switch opts.Solver {
-	case "", "augment":
-		opts.Solver = "augment"
-	case "anneal":
-	default:
-		return nil, fmt.Errorf("unknown solver %q (want augment or anneal)", opts.Solver)
-	}
 	switch opts.Backend {
 	case "", "milp":
-		// Normalize: "milp" and "" are the same built-in augmentation
-		// path, so equivalent requests hash equal.
-		opts.Backend = ""
+		// The MILP reads no seed: clear it so requests that differ only
+		// in annealSeed hash equal.
+		opts.Backend = "milp"
+		opts.AnnealSeed = 0
 	case "portfolio", "anneal", "seqpair", "project":
-		if opts.Solver != "augment" {
-			return nil, fmt.Errorf("backend %q requires the augment solver", opts.Backend)
-		}
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want milp, portfolio, anneal, seqpair or project)", opts.Backend)
 	}
@@ -244,7 +234,6 @@ func (s *DesignSpec) toDesign() (*netlist.Design, error) {
 type canonicalInstance struct {
 	Modules []netlist.Module
 	Nets    []canonicalNet
-	Solver  string
 	Backend string
 	Width   float64
 	Group   int
@@ -267,7 +256,6 @@ type canonicalNet struct {
 func (in *Instance) Key() string {
 	c := canonicalInstance{
 		Modules: in.Design.Modules,
-		Solver:  in.Opts.Solver,
 		Backend: in.Opts.Backend,
 		Width:   in.Opts.ChipWidth,
 		Group:   in.Opts.GroupSize,
@@ -312,7 +300,8 @@ func (in *Instance) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// coreConfig maps the normalized options onto the augmentation solver.
+// coreConfig maps the normalized options onto the augmentation solver,
+// which also gives a portfolio race its width and objective.
 func (in *Instance) coreConfig() core.Config {
 	cfg := core.Config{
 		ChipWidth:    in.Opts.ChipWidth,
@@ -320,8 +309,6 @@ func (in *Instance) coreConfig() core.Config {
 		WireWeight:   in.Opts.WireWeight,
 		PostOptimize: in.Opts.PostOptimize,
 		NoPresolve:   in.Opts.NoPresolve,
-		Backend:      in.Opts.Backend,
-		BackendSeed:  in.Opts.AnnealSeed,
 	}
 	if in.Opts.Objective == "areawire" {
 		cfg.Objective = mipmodel.AreaWire

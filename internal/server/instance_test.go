@@ -48,7 +48,7 @@ func TestKeyStableAcrossEquivalentRequests(t *testing.T) {
 
 	// Defaulted options must hash like explicit defaults.
 	explicit := smallRequest()
-	explicit.Options.Solver = "augment"
+	explicit.Options.Backend = "milp"
 	explicit.Options.Objective = "area"
 	explicit.Options.GroupSize = 4
 	ein, err := Resolve(explicit)
@@ -57,6 +57,18 @@ func TestKeyStableAcrossEquivalentRequests(t *testing.T) {
 	}
 	if ein.Key() != base.Key() {
 		t.Fatal("explicit default options changed the cache key")
+	}
+
+	// The MILP reads no seed, so a milp request's annealSeed is not part
+	// of its key.
+	seeded := smallRequest()
+	seeded.Options.AnnealSeed = 42
+	sin, err := Resolve(seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sin.Key() != base.Key() {
+		t.Fatal("annealSeed changed a milp request's cache key")
 	}
 
 	// The deadline is not part of the key: a cached complete result is
@@ -94,6 +106,21 @@ func TestKeyChangesWithInstance(t *testing.T) {
 	}
 	if o.Key() == base.Key() {
 		t.Fatal("objective change did not change the key")
+	}
+
+	// The annealer is seeded: its seed stays in the key.
+	annealKey := func(seed int64) string {
+		req := smallRequest()
+		req.Options.Backend = "anneal"
+		req.Options.AnnealSeed = seed
+		in, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.Key()
+	}
+	if annealKey(1) == annealKey(2) {
+		t.Fatal("annealSeed change did not change an anneal request's key")
 	}
 
 	weighted := smallRequest()

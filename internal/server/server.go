@@ -11,10 +11,6 @@ import (
 
 	"afp/internal/core"
 	"afp/internal/obs"
-
-	// Register the portfolio, anneal, seqpair and project backends with
-	// core.Config.Backend so jobs can select them by name.
-	_ "afp/internal/portfolio"
 )
 
 // Config sizes the service.
@@ -88,6 +84,10 @@ func New(cfg Config) *Server {
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.runJob)
 	s.metrics.SetGauge("pool_workers", float64(cfg.Workers))
+	// The trust counters (see obs.MetricsSink) exist from the start, so
+	// scrapers see a zero rather than a missing series.
+	s.metrics.Count("lp_iterlimit", 0)
+	s.metrics.Count("steps_limit", 0)
 	return s
 }
 
@@ -183,9 +183,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Static model audit before any solver time is spent: a request that
 	// is well-formed JSON but yields a malformed MILP (a module wider than
 	// the chip, a formulation invariant broken) is rejected here, not
-	// discovered mid-solve. The annealing solver and the pure-heuristic
-	// backends never build the MILP; a portfolio race does.
-	if in.Opts.Solver == "augment" && (in.Opts.Backend == "" || in.Opts.Backend == "portfolio") {
+	// discovered mid-solve. The heuristic backends never build the MILP;
+	// a portfolio race does.
+	if in.Opts.Backend == "milp" || in.Opts.Backend == "portfolio" {
 		if err := core.AuditDesign(in.Design, in.coreConfig()); err != nil {
 			s.metrics.Count("jobs_malformed", 1)
 			httpError(w, http.StatusUnprocessableEntity, "model audit: %v", err)

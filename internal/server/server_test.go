@@ -173,7 +173,7 @@ func TestBadRequests(t *testing.T) {
 		"neither":        {},
 		"both":           {Design: smallRequest().Design, Generate: "ami33"},
 		"bad generator":  {Generate: "mystery"},
-		"bad solver":     {Generate: "ami33", Options: SolveOptions{Solver: "quantum"}},
+		"bad backend":    {Generate: "ami33", Options: SolveOptions{Backend: "quantum"}},
 		"rand without n": {Generate: "rand"},
 	} {
 		if _, err := Resolve(req); err == nil {

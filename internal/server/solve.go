@@ -7,9 +7,9 @@ import (
 	"runtime"
 	"time"
 
-	"afp/internal/anneal"
 	"afp/internal/core"
 	"afp/internal/obs"
+	"afp/internal/portfolio"
 )
 
 // ResultPayload is the body of GET /v1/jobs/{id}/result. It is a
@@ -18,7 +18,6 @@ import (
 // solution.
 type ResultPayload struct {
 	Design string `json:"design"`
-	Solver string `json:"solver"`
 	// Source names the solution paradigm that produced the floorplan:
 	// "bb" for the branch and bound, "anneal"/"seqpair"/"project" for a
 	// standalone heuristic, "portfolio:<backend>" for a race's winner.
@@ -178,28 +177,29 @@ func (s *Server) jobWorkers(requested int) int {
 	return requested
 }
 
-// solveInstance dispatches to the selected solver. workers is the
-// already-capped branch-and-bound worker count (>= 1).
+// solveInstance dispatches to the selected backend: the paper's MILP
+// directly, every other paradigm through a portfolio race (of one, for
+// a single contestant). workers is the already-capped branch-and-bound
+// worker count (>= 1).
 func solveInstance(ctx context.Context, in *Instance, workers int, o *obs.Observer) (*core.Result, error) {
-	switch in.Opts.Solver {
-	case "anneal":
-		cfg := anneal.Config{
-			Seed:   in.Opts.AnnealSeed,
-			Lambda: in.Opts.WireWeight,
-			Obs:    o,
-		}
-		return anneal.FloorplanCtx(ctx, in.Design, cfg)
-	default:
-		cfg := in.coreConfig()
-		cfg.Workers = workers
-		cfg.Obs = o
-		if cfg.MILP.ProgressEvery == 0 {
-			// Service solves stream progress over SSE: probe the gap often
-			// enough that watchers see bound convergence within a node batch.
-			cfg.MILP.ProgressEvery = 128
-		}
+	cfg := in.coreConfig()
+	cfg.Workers = workers
+	cfg.Obs = o
+	// Service solves stream progress over SSE: probe the gap often enough
+	// that watchers see bound convergence within a node batch.
+	cfg.MILP.ProgressEvery = 128
+	if in.Opts.Backend == "milp" {
 		return core.FloorplanCtx(ctx, in.Design, cfg)
 	}
+	popts := portfolio.Options{Seed: in.Opts.AnnealSeed, Obs: o}
+	if in.Opts.Backend != "portfolio" {
+		popts.Backends = []string{in.Opts.Backend}
+	}
+	r, err := portfolio.Solve(ctx, in.Design, cfg, popts)
+	if r == nil {
+		return nil, err
+	}
+	return r.Result, err
 }
 
 // buildPayload converts a (possibly partial, possibly nil) core result.
@@ -209,7 +209,6 @@ func buildPayload(in *Instance, res *core.Result, dur time.Duration) *ResultPayl
 	}
 	p := &ResultPayload{
 		Design:      in.Design.Name,
-		Solver:      in.Opts.Solver,
 		Source:      res.Source,
 		ChipWidth:   res.ChipWidth,
 		Height:      res.Height,

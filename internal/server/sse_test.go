@@ -301,6 +301,12 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if !strings.Contains(out, "worker_utilization_pct ") {
 			t.Fatalf("Accept %q: exposition missing worker_utilization_pct:\n%s", accept, out)
 		}
+		// The trust counters are scrapeable before any job ran.
+		for _, want := range []string{"lp_iterlimit_total 0", "steps_limit_total 0"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("Accept %q: exposition lacks %q:\n%s", accept, want, out)
+			}
+		}
 		if samples == 0 {
 			t.Fatalf("Accept %q: no samples in exposition", accept)
 		}
