@@ -100,6 +100,26 @@ func TestCLIFloorplanRandomDesign(t *testing.T) {
 	}
 }
 
+// TestCLIFloorplanWarnsOnUnprovenSteps checks the stderr warning for
+// steps cut short by the node limit, and its absence when every step is
+// proven.
+func TestCLIFloorplanWarnsOnUnprovenSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI e2e in -short mode")
+	}
+	out := runCLI(t, "floorplan", "", "-design", "rand12", "-nodes", "5")
+	if want := "floorplan: warning: 4 of 4 augmentation steps stopped at a limit; the floorplan is not proven step-optimal"; !strings.Contains(out, want) {
+		t.Fatalf("output missing %q:\n%s", want, out)
+	}
+	out = runCLI(t, "floorplan", "", "-design", "rand8", "-group", "3", "-nodes", "500", "-verbose")
+	if strings.Contains(out, "warning") {
+		t.Fatalf("fully proven run warned:\n%s", out)
+	}
+	if strings.Count(out, ", optimal, height") != 3 {
+		t.Fatalf("expected three proven steps:\n%s", out)
+	}
+}
+
 func TestCLIFloorplanSAMethod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI e2e in -short mode")

@@ -244,6 +244,18 @@ func run() error {
 				s.Step, len(s.Added), s.Obstacles, s.Binaries, s.Nodes, s.Status, s.Height, s.Elapsed.Round(time.Millisecond), src)
 		}
 	}
+	// Step statuses are printed only under -verbose, so say it when a
+	// node or time limit cut a step short (the steps_limit rule).
+	unproven := 0
+	for _, s := range r.Steps {
+		if s.Status == milp.StatusFeasible || s.Status == milp.StatusLimit {
+			unproven++
+		}
+	}
+	if unproven > 0 {
+		fmt.Fprintf(os.Stderr, "floorplan: warning: %d of %d augmentation steps stopped at a limit; the floorplan is not proven step-optimal\n",
+			unproven, len(r.Steps))
+	}
 
 	var verifyErr error
 	if *verify {

@@ -88,8 +88,15 @@ func generate(name string, n int, totalArea float64, nNets, nCritical int, rng *
 
 	// Locality-biased nets: modules with nearby indices are more likely to
 	// share nets, giving the linear-ordering heuristic something to exploit.
+	// A net joins at least two distinct modules, so a one-module design
+	// has none.
+	if n < 2 {
+		nNets = 0
+	}
 	for k := 0; k < nNets; k++ {
-		size := 2 + rng.Intn(4) // 2..5 pins
+		// 2..5 pins, but no more than there are modules to draw them from;
+		// capping after the draw keeps every design with n >= 5 unchanged.
+		size := min(2+rng.Intn(4), n)
 		anchor := rng.Intn(n)
 		seen := map[int]bool{anchor: true}
 		mods := []int{anchor}

@@ -2,10 +2,14 @@ package netlist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestModuleWidthRange(t *testing.T) {
@@ -247,6 +251,60 @@ func TestRandomGenerator(t *testing.T) {
 	}
 	if reflect.DeepEqual(Random(15, 3), Random(15, 4)) {
 		t.Fatal("Random identical across different seeds")
+	}
+}
+
+// TestRandomSmallDesigns covers designs smaller than the largest net
+// (five modules): a net draws its distinct modules until it has them, so
+// its size must not exceed the design's.
+func TestRandomSmallDesigns(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			done := make(chan *Design, 1)
+			go func() { done <- Random(n, seed) }()
+			var d *Design
+			select {
+			case d = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Random(%d, %d) did not return", n, seed)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("Random(%d, %d): %v", n, seed, err)
+			}
+			if len(d.Modules) != n {
+				t.Fatalf("Random(%d, %d) has %d modules", n, seed, len(d.Modules))
+			}
+			if n == 1 && len(d.Nets) != 0 {
+				t.Fatalf("Random(1, %d) has %d nets, want none", seed, len(d.Nets))
+			}
+		}
+	}
+}
+
+// TestRandomDesignsUnchanged checks that capping the net size changed no
+// design with five or more modules: the digests were recorded before the
+// cap.
+func TestRandomDesignsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		d      *Design
+		digest string
+	}{
+		{"rand5/1", Random(5, 1), "e46303ba54c6840d026cee548aa713ce3c7a731df376695225a0028a15378465"},
+		{"rand6/2", Random(6, 2), "0a41e469be7da5b14015643b4559ce9cbcaf6b1cf5ecc5f37cfa9a3d34050164"},
+		{"rand8/3", Random(8, 3), "c9b55d59d7b14b1cd6c326d582592a7ade732bf952337537e17e8d763142b15d"},
+		{"rand12/7", Random(12, 7), "b69157409e89cdd54089c518dfd2686587f883ecb5256f7a21d9aede9ebea920"},
+		{"rand20/2001", Random(20, 2001), "4f4f439ed5dbb78cc5edd27a18359facee0c1cbd2a7555854a34f2bad7c44b15"},
+		{"rand25/1", Random(25, 1), "ef679c23d06b01cd7af4e5ed214c858a0bb2c836091b9dfc21475bef24c8fb3c"},
+		{"ami33", AMI33(), "68352050ac5f24cd3121fd423560d81b13023b264643a8ff2fb881158f22a397"},
+	} {
+		b, err := json.Marshal(c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != c.digest {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.digest)
+		}
 	}
 }
 

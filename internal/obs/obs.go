@@ -286,6 +286,7 @@ func sanitizeEvent(e Event) Event {
 	e.Gap = finiteOrZero(e.Gap)
 	e.Height = finiteOrZero(e.Height)
 	e.Temp = finiteOrZero(e.Temp)
+	e.MReduction = finiteOrZero(e.MReduction)
 	return e
 }
 

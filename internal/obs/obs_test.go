@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -233,5 +234,30 @@ func TestMetricsConcurrent(t *testing.T) {
 	wg.Wait()
 	if m.Counter("n") != 8000 {
 		t.Fatalf("counter = %d, want 8000", m.Counter("n"))
+	}
+}
+
+// TestJSONLWriterZeroesEveryNonFiniteFloat sets every float field, found
+// by reflection, to a value JSON cannot carry: the line must still be
+// written, with those fields omitted, because the writer stops the whole
+// trace at its first encoding error.
+func TestJSONLWriterZeroesEveryNonFiniteFloat(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := Event{Kind: KindPresolve}
+		v := reflect.ValueOf(&e).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() == reflect.Float64 {
+				v.Field(i).SetFloat(x)
+			}
+		}
+		var buf bytes.Buffer
+		w := NewJSONLWriter(&buf)
+		w.Emit(e)
+		if err := w.Err(); err != nil {
+			t.Fatalf("%v: %v", x, err)
+		}
+		if got, want := buf.String(), `{"kind":"presolve.done"}`+"\n"; got != want {
+			t.Fatalf("%v: wrote %q, want %q", x, got, want)
+		}
 	}
 }

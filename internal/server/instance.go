@@ -19,6 +19,13 @@ import (
 	"afp/internal/netlist"
 )
 
+// maxGenerateN bounds the "rand" generator's module count. Resolve runs
+// the generator inside the HTTP handler, before admission control, and it
+// allocates n modules and 4n nets, so without a bound a one-line request
+// could exhaust the process's memory. 1,000 is 20x ami49, the largest
+// built-in design.
+const maxGenerateN = 1000
+
 // SolveRequest is the body of POST /v1/solve. Exactly one of Design and
 // Generate must be set: Design carries the instance inline, Generate
 // names a built-in benchmark generator ("ami33", "ami49", "rand" with N
@@ -141,8 +148,8 @@ func Resolve(req *SolveRequest) (*Instance, error) {
 		case "ami49":
 			d = netlist.AMI49()
 		case "rand":
-			if req.N <= 0 {
-				return nil, fmt.Errorf("generate %q requires n > 0", req.Generate)
+			if req.N <= 0 || req.N > maxGenerateN {
+				return nil, fmt.Errorf("generate %q requires 0 < n <= %d", req.Generate, maxGenerateN)
 			}
 			d = netlist.Random(req.N, req.Seed)
 		default:

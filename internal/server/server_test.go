@@ -183,6 +183,36 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestGenerateSizeBound checks the rand generator's module-count bound:
+// the largest allowed design resolves, one more module is a 400 before
+// any generator runs.
+func TestGenerateSizeBound(t *testing.T) {
+	in, err := Resolve(&SolveRequest{Generate: "rand", N: maxGenerateN, Seed: 1})
+	if err != nil {
+		t.Fatalf("n=%d: %v", maxGenerateN, err)
+	}
+	if len(in.Design.Modules) != maxGenerateN {
+		t.Fatalf("n=%d resolved %d modules", maxGenerateN, len(in.Design.Modules))
+	}
+	over := &SolveRequest{Generate: "rand", N: maxGenerateN + 1, Seed: 1}
+	if _, err := Resolve(over); err == nil {
+		t.Fatalf("n=%d accepted", maxGenerateN+1)
+	}
+	ts := newTestServer(t, Config{Workers: 1})
+	ts.submit(t, over, http.StatusBadRequest)
+}
+
+// TestTinyGeneratedDesignSolves submits a three-module rand design; the
+// generator runs inside the submit handler, so it must return for
+// designs smaller than the largest net.
+func TestTinyGeneratedDesignSolves(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1})
+	sr := ts.submit(t, &SolveRequest{Generate: "rand", N: 3, Seed: 1, Options: SolveOptions{TimeoutMS: 30000}}, http.StatusAccepted)
+	if v := ts.await(t, sr.ID, 30*time.Second); v.State != StateDone {
+		t.Fatalf("state = %s (err %q), want done", v.State, v.Error)
+	}
+}
+
 func TestCacheHitServesSecondSubmission(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 2})
 	first := ts.submit(t, smallRequest(), http.StatusAccepted)

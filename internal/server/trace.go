@@ -14,6 +14,12 @@ import (
 // not grow server memory without bound — and the truncation is made
 // visible by a final synthetic "trace.truncated" line on output.
 //
+// The retained events are kept as compact binary records (obs.EventLog,
+// about 22 bytes per branch-and-bound event against an Event's 336) and
+// decoded only when the trace is served. Readers snapshot the log under
+// mu and decode after releasing it, so serving a long trace never holds
+// up the solver's Emit.
+//
 // It doubles as the fan-out point for live SSE followers: subscribe
 // atomically snapshots the retained prefix and registers a channel that
 // receives every later event, so a follower sees each event exactly once
@@ -24,7 +30,7 @@ type traceBuffer struct {
 	mu      sync.Mutex
 	max     int
 	maxSubs int
-	events  []obs.Event            // guarded by mu
+	log     obs.EventLog           // guarded by mu
 	dropped int64                  // guarded by mu
 	subs    map[*traceSub]struct{} // guarded by mu
 }
@@ -58,8 +64,8 @@ func newTraceBuffer(max int) *traceBuffer {
 // lockorder: milp.solver.mu -> server.traceBuffer.mu -- emitProgressLocked fans out to the job's trace buffer through obs.Multi
 func (b *traceBuffer) Emit(e obs.Event) {
 	b.mu.Lock()
-	if len(b.events) < b.max {
-		b.events = append(b.events, e)
+	if b.log.Len() < b.max {
+		b.log.Append(&e)
 	} else {
 		b.dropped++
 	}
@@ -105,24 +111,28 @@ func isStructuralKind(k obs.Kind) bool {
 
 // subscribe atomically snapshots the retained events and registers a
 // live follower with a buffered delivery channel, so replay-then-follow
-// over the pair misses nothing emitted in between. It fails when the
+// over the pair misses nothing emitted in between. The replay is decoded
+// from the snapshot after the lock is released. It fails when the
 // per-job follower cap is reached.
 func (b *traceBuffer) subscribe(buf int) ([]obs.Event, *traceSub, bool) {
 	if buf <= 0 {
 		buf = 256
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if len(b.subs) >= b.maxSubs {
+		b.mu.Unlock()
 		return nil, nil, false
 	}
-	replay := make([]obs.Event, len(b.events))
-	copy(replay, b.events)
+	snap := b.log.Snapshot()
 	sub := &traceSub{ch: make(chan obs.Event, buf)}
 	if b.subs == nil {
 		b.subs = make(map[*traceSub]struct{})
 	}
 	b.subs[sub] = struct{}{}
+	b.mu.Unlock()
+
+	replay := make([]obs.Event, 0, snap.Len())
+	snap.Each(func(e obs.Event) { replay = append(replay, e) })
 	return replay, sub, true
 }
 
@@ -142,14 +152,12 @@ func (b *traceBuffer) unsubscribe(sub *traceSub) int64 {
 // written by the CLI -trace flag are interchangeable.
 func (b *traceBuffer) WriteJSONL(w io.Writer) error {
 	b.mu.Lock()
-	events := b.events
+	snap := b.log.Snapshot()
 	dropped := b.dropped
 	b.mu.Unlock()
 
 	jw := obs.NewJSONLWriter(w)
-	for _, e := range events {
-		jw.Emit(e)
-	}
+	snap.Each(jw.Emit)
 	if dropped > 0 {
 		jw.Emit(obs.Event{Kind: kindTruncated, Nodes: int(dropped)})
 	}
@@ -160,7 +168,7 @@ func (b *traceBuffer) WriteJSONL(w io.Writer) error {
 func (b *traceBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.events)
+	return b.log.Len()
 }
 
 // lines decodes the buffered trace back into generic JSON objects; test
