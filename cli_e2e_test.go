@@ -124,9 +124,11 @@ func TestCLIFloorplanSAMethod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI e2e in -short mode")
 	}
-	out := runCLI(t, "floorplan", "", "-design", "rand10", "-backend", "anneal")
-	if !strings.Contains(out, "winner anneal") {
-		t.Fatalf("anneal race output missing:\n%s", out)
+	for _, backend := range []string{"anneal", "seqpair"} {
+		out := runCLI(t, "floorplan", "", "-design", "rand10", "-backend", backend)
+		if !strings.Contains(out, "winner "+backend) {
+			t.Fatalf("%s race output missing:\n%s", backend, out)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@
 //	floorplan [flags]
 //
 // The design comes from -input (netlist text format, see
-// internal/netlist), or from the built-in generators via -design ami33 or
-// -design randN (e.g. rand20).
+// internal/netlist), or from the built-in generators via -design ami33,
+// -design ami49 or -design randN (e.g. rand20; N up to 1000).
 package main
 
 import (
@@ -49,7 +49,7 @@ func run() error {
 		input     = flag.String("input", "", "netlist file (see internal/netlist format); empty uses -design")
 		blocks    = flag.String("blocks", "", "bookshelf .blocks file (use with -nets)")
 		netsFile  = flag.String("nets", "", "bookshelf .nets file (use with -blocks)")
-		design    = flag.String("design", "ami33", "built-in design: ami33 or rand<N> (e.g. rand20)")
+		design    = flag.String("design", "ami33", "built-in design: ami33, ami49 or rand<N> with 0 < N <= 1000 (e.g. rand20)")
 		seed      = flag.Int64("seed", 1, "seed for rand<N> designs and random ordering")
 		width     = flag.Float64("width", 0, "chip width W (0 = automatic)")
 		group     = flag.Int("group", 3, "successive-augmentation group size")
@@ -398,15 +398,17 @@ func loadDesign(input, blocks, nets, name string, seed int64) (*netlist.Design, 
 		defer f.Close()
 		return netlist.Parse(f)
 	}
-	if name == "ami33" {
-		return netlist.AMI33(), nil
-	}
-	if strings.HasPrefix(name, "rand") {
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "rand"))
-		if err != nil || n < 1 {
+	gen, n := name, 0
+	if digits, ok := strings.CutPrefix(name, "rand"); ok {
+		var err error
+		if n, err = strconv.Atoi(digits); err != nil {
 			return nil, fmt.Errorf("bad design name %q", name)
 		}
-		return netlist.Random(n, seed), nil
+		gen = "rand"
 	}
-	return nil, fmt.Errorf("unknown design %q", name)
+	d, err := netlist.Builtin(gen, n, seed)
+	if err != nil {
+		return nil, fmt.Errorf("-design %s: %w", name, err)
+	}
+	return d, nil
 }

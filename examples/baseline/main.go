@@ -1,8 +1,9 @@
 // Baseline comparison: the analytical MILP floorplanner of the paper
 // versus the Wong-Liu slicing floorplanner driven by simulated annealing
-// (the dominant approach the paper argues against). Both run on the same
-// 20-module random design; the comparison reports area, utilization,
-// wirelength and time.
+// (the dominant approach the paper argues against) and the later
+// sequence-pair annealer, both from package anneal. All three run on the
+// same 20-module random design; the comparison reports area,
+// utilization, wirelength and time.
 package main
 
 import (
@@ -14,7 +15,6 @@ import (
 	"afp/internal/core"
 	"afp/internal/milp"
 	"afp/internal/netlist"
-	"afp/internal/seqpair"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func main() {
 	saTime := time.Since(start)
 
 	start = time.Now()
-	spRes, err := seqpair.Floorplan(d, seqpair.Config{Seed: 1})
+	spRes, err := anneal.SeqPair(d, anneal.Config{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

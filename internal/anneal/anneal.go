@@ -1,3 +1,24 @@
+// Package anneal implements the simulated-annealing baselines the
+// paper's analytical method is measured against: one cooling loop over
+// two floorplan representations.
+//
+//   - Floorplan anneals slicing floorplans, the Wong-Liu algorithm ("A
+//     New Algorithm for Floorplan Design", DAC 1986) that was the state
+//     of the art the paper positions itself against. Floorplans are
+//     normalized Polish expressions over H/V cuts; moves M1/M2/M3
+//     perturb the expression; module shapes are combined with
+//     Stockmeyer-style shape curves.
+//   - SeqPair anneals sequence pairs (Murata, Fujiyoshi, Nakatake,
+//     Kajitani, "VLSI Module Placement Based on Rectangle-Packing by the
+//     Sequence-Pair", 1995/1996). Like the paper's analytical method, and
+//     unlike slicing, a sequence pair represents general packings, so it
+//     brackets the reproduction from the modern metaheuristic side. It
+//     post-dates the reproduced DAC 1990 paper and is provided as an
+//     extension (see DESIGN.md).
+//
+// Each representation supplies only its state, moves, cost and decoder;
+// the cooling schedule, the shape sampler, the fixed-width cost and the
+// wirelength are shared.
 package anneal
 
 import (
@@ -11,37 +32,30 @@ import (
 	"afp/internal/obs"
 )
 
-// Config tunes the annealer.
+// Config tunes both annealers.
 type Config struct {
 	// Seed drives all randomness; equal seeds give equal results.
 	Seed int64
-	// Lambda weighs wirelength against area in the cost (cost = area +
-	// Lambda * HPWL). Zero routes on area alone.
+	// Lambda weighs wirelength against the shape cost (cost = shape cost
+	// + Lambda * HPWL). Zero anneals on the shape cost alone.
 	Lambda float64
-	// FlexSamples is the number of width samples per flexible module.
-	// Zero defaults to 6.
-	FlexSamples int
 	// MovesPerTemp is the number of attempted moves at each temperature.
 	// Zero defaults to 30 * n.
 	MovesPerTemp int
-	// Alpha is the geometric cooling rate. Zero defaults to 0.85.
-	Alpha float64
-	// MinTemp stops the schedule. Zero defaults to 1e-4 of the initial
-	// temperature.
-	MinTemp float64
 	// FixedWidth, when positive, anneals against a fixed chip width W
-	// instead of free bounding area: the cost becomes the packing height
-	// scaled by a quadratic penalty in the relative width excess
+	// instead of free bounding area: the shape cost becomes the packing
+	// height scaled by a quadratic penalty in the relative width excess
 	// (h * max(w/W, 1)^2), so layouts wider than the chip are steered
 	// inside before their height matters. Portfolio races set it so every
 	// backend solves the same fixed-width instance.
 	FixedWidth float64
 	// Best, when set, is invoked with a freshly decoded floorplan every
 	// time the search improves its best cost (including the initial
-	// expression) — the incremental-best reporting a portfolio racer uses
-	// to publish incumbents while the schedule is still cooling. It is
+	// state) — the incremental-best reporting a portfolio racer uses to
+	// publish incumbents while the schedule is still cooling. It is
 	// called synchronously on the annealing goroutine and must not block
-	// for long.
+	// for long. A design with at most one module has a single state and
+	// returns it without calling Best.
 	Best func(*core.Result)
 	// Obs receives one anneal.temp event per temperature step (current
 	// temperature, acceptance stats, current and best cost). Nil disables
@@ -49,92 +63,151 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// Floorplan runs simulated annealing over normalized Polish expressions
-// and returns the best floorplan found as a core.Result (ChipWidth is the
-// bounding width of the slicing floorplan).
-func Floorplan(d *netlist.Design, cfg Config) (*core.Result, error) {
-	return FloorplanCtx(context.Background(), d, cfg)
+// The schedule and the shape sampling are fixed, not Config fields: no
+// caller tunes them, and the values a knob would admit break the search.
+// One flexible-module sample divides by zero in the sampler (NaN shapes),
+// and a cooling rate of 1 never cools, so the schedule runs until a whole
+// temperature rejects every move.
+const (
+	// flexSamples is the number of widths sampled per flexible module.
+	flexSamples = 6
+	// alpha is the geometric cooling rate.
+	alpha = 0.85
+	// minTempRatio ends the schedule once the temperature falls to this
+	// fraction of the calibrated starting temperature.
+	minTempRatio = 1e-4
+)
+
+// representation is one floorplan encoding the cooling loop anneals over.
+// A state is never changed once built: perturb returns a fresh one, so
+// the loop keeps its current and best states without copying them.
+type representation[S any] interface {
+	// perturb applies one random move to s; false means the drawn move
+	// could not apply and no state was made.
+	perturb(s S) (S, bool)
+	// cost scores s: the shape cost of its bounding box plus Lambda
+	// times its wirelength.
+	cost(s S) float64
+	// decode realizes s as a floorplan.
+	decode(s S) *core.Result
 }
 
-// FloorplanCtx is Floorplan under a context. Cancellation (or a context
-// deadline) stops the cooling schedule within a few moves; the best
-// floorplan found so far is returned together with ctx.Err(), matching
-// core.FloorplanCtx's partial-result convention — annealing always has
-// an incumbent after the initial expression, so the result is usable.
-// The whole run is wrapped in an "anneal" span so portfolio traces
-// attribute time per backend.
-func FloorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (res *core.Result, err error) {
-	cfg.Obs.Do(ctx, "anneal", obs.SpanAttrs{Detail: d.Name}, func(ctx context.Context) {
-		res, err = floorplanCtx(ctx, d, cfg)
-	})
-	return res, err
+// base holds what both representations read: the design, the settings,
+// the run's random source and each module's sampled shapes.
+type base struct {
+	d      *netlist.Design
+	cfg    Config
+	rng    *rand.Rand
+	shapes [][]shape
 }
 
-func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*core.Result, error) {
+// shape is one realizable (w, h) of a module.
+type shape struct {
+	w, h    float64
+	rotated bool
+}
+
+// sampleShapes lists each module's shape options: flexSamples widths
+// spread evenly over a flexible module's range, or a rigid module's own
+// shape followed by its rotation when it is rotatable.
+func sampleShapes(d *netlist.Design) [][]shape {
+	out := make([][]shape, len(d.Modules))
+	for i := range d.Modules {
+		m := &d.Modules[i]
+		var ss []shape
+		switch m.Kind {
+		case netlist.Flexible:
+			wmin, wmax := m.WidthRange()
+			for k := 0; k < flexSamples; k++ {
+				f := float64(k) / float64(flexSamples-1)
+				w := wmin + f*(wmax-wmin)
+				ss = append(ss, shape{w: w, h: m.Area / w})
+			}
+		default:
+			ss = append(ss, shape{w: m.W, h: m.H})
+			// Rotation only yields a distinct shape when the sides differ by
+			// more than the geometric tolerance.
+			if m.Rotatable && !geom.Eq(m.W, m.H) {
+				ss = append(ss, shape{w: m.H, h: m.W, rotated: true})
+			}
+		}
+		out[i] = ss
+	}
+	return out
+}
+
+// shapeCost scores a bounding shape: area in free-width mode, height
+// scaled by a quadratic excess-width penalty in fixed-width mode (see
+// Config.FixedWidth).
+func (b *base) shapeCost(w, h float64) float64 {
+	if fw := b.cfg.FixedWidth; fw > 0 {
+		over := math.Max(w/fw, 1)
+		return h * over * over
+	}
+	return w * h
+}
+
+// solve validates d and anneals it in the representation newRep builds
+// around the shared base, drawing every random number from one source
+// seeded with cfg.Seed+seedOffset. A design with at most one module has
+// a single state, which is decoded and returned at once.
+func solve[S any](ctx context.Context, d *netlist.Design, cfg Config, source string, seedOffset int64,
+	newRep func(*base) (representation[S], S)) (*core.Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(d.Modules)
 	if n == 0 {
-		return &core.Result{Design: d, Source: "anneal"}, nil
-	}
-	if cfg.FlexSamples <= 0 {
-		cfg.FlexSamples = 6
+		return &core.Result{Design: d, Source: source}, nil
 	}
 	if cfg.MovesPerTemp <= 0 {
 		cfg.MovesPerTemp = 30 * n
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 0.85
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 12345))
-
-	a := &annealer{d: d, cfg: cfg, rng: rng, leaves: leafCurves(d, cfg.FlexSamples)}
+	b := &base{d: d, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + seedOffset)), shapes: sampleShapes(d)}
+	r, cur := newRep(b)
 	if n == 1 {
-		expr := []int{0}
-		return a.decode(expr), nil
+		return r.decode(cur), nil
 	}
+	return cool(ctx, b, r, cur)
+}
 
-	cur := initialExpr(n)
-	curCost := a.cost(cur)
-	best := append([]int(nil), cur...)
-	bestCost := curCost
+// cool is the cooling loop: Metropolis acceptance at geometrically
+// falling temperatures from a calibrated start, MovesPerTemp moves per
+// temperature, until the temperature reaches minTempRatio of the start
+// or a whole temperature accepts no move. Cancellation is polled every
+// 64 moves and returns the best state so far with ctx.Err().
+func cool[S any](ctx context.Context, b *base, r representation[S], cur S) (*core.Result, error) {
+	cfg := &b.cfg
+	curCost := r.cost(cur)
+	best, bestCost := cur, curCost
 	if cfg.Best != nil {
-		cfg.Best(a.decode(best))
+		cfg.Best(r.decode(best))
 	}
 
-	// Calibrate T0 from the average uphill move.
-	t0 := a.calibrate(cur, curCost)
-	minT := cfg.MinTemp
-	if minT <= 0 {
-		minT = t0 * 1e-4
-	}
-
+	t0 := calibrate(r, cur, curCost)
 	done := ctx.Done()
-	for T := t0; T > minT; T *= cfg.Alpha {
+	for T := t0; T > t0*minTempRatio; T *= alpha {
 		accepted := 0
 		for mv := 0; mv < cfg.MovesPerTemp; mv++ {
 			if done != nil && mv&63 == 0 {
 				select {
 				case <-done:
-					return a.decode(best), ctx.Err()
+					return r.decode(best), ctx.Err()
 				default:
 				}
 			}
-			next, ok := a.perturb(cur)
+			next, ok := r.perturb(cur)
 			if !ok {
 				continue
 			}
-			c := a.cost(next)
-			delta := c - curCost
-			if delta <= 0 || rng.Float64() < math.Exp(-delta/T) {
+			c := r.cost(next)
+			if delta := c - curCost; delta <= 0 || b.rng.Float64() < math.Exp(-delta/T) {
 				cur, curCost = next, c
 				accepted++
 				if c < bestCost {
-					bestCost = c
-					best = append(best[:0], cur...)
+					best, bestCost = cur, c
 					if cfg.Best != nil {
-						cfg.Best(a.decode(best))
+						cfg.Best(r.decode(best))
 					}
 				}
 			}
@@ -147,56 +220,19 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*core.Res
 			break
 		}
 	}
-	return a.decode(best), nil
+	return r.decode(best), nil
 }
 
-type annealer struct {
-	d      *netlist.Design
-	cfg    Config
-	rng    *rand.Rand
-	leaves [][]shapePoint
-}
-
-// leafCurves builds the shape options of each module: both orientations
-// for rotatable rigid modules, sampled widths for flexible modules.
-func leafCurves(d *netlist.Design, samples int) [][]shapePoint {
-	out := make([][]shapePoint, len(d.Modules))
-	for i := range d.Modules {
-		m := &d.Modules[i]
-		var pts []shapePoint
-		switch m.Kind {
-		case netlist.Flexible:
-			wmin, wmax := m.WidthRange()
-			for k := 0; k < samples; k++ {
-				f := float64(k) / float64(samples-1)
-				w := wmin + f*(wmax-wmin)
-				pts = append(pts, shapePoint{w: w, h: m.Area / w, li: -1, ri: -1, leafK: k})
-			}
-		default:
-			pts = append(pts, shapePoint{w: m.W, h: m.H, li: -1, ri: -1, leafK: 0})
-			// Rotation only yields a distinct shape when the sides differ by
-			// more than the geometric tolerance.
-			if m.Rotatable && !geom.Eq(m.W, m.H) {
-				pts = append(pts, shapePoint{w: m.H, h: m.W, li: -1, ri: -1, leafK: 1})
-			}
-		}
-		out[i] = pareto(pts)
-	}
-	return out
-}
-
-// calibrate estimates an initial temperature from the mean uphill delta
-// over a sample of random moves (the standard Wong-Liu recipe).
-func (a *annealer) calibrate(expr []int, base float64) float64 {
+// calibrate estimates the starting temperature from the mean uphill
+// delta over a walk of 50 random moves (the standard Wong-Liu recipe).
+func calibrate[S any](r representation[S], cur S, curCost float64) float64 {
 	var up, cnt float64
-	cur := append([]int(nil), expr...)
-	curCost := base
 	for i := 0; i < 50; i++ {
-		next, ok := a.perturb(cur)
+		next, ok := r.perturb(cur)
 		if !ok {
 			continue
 		}
-		c := a.cost(next)
+		c := r.cost(next)
 		if dd := c - curCost; dd > 0 {
 			up += dd
 			cnt++
@@ -206,188 +242,5 @@ func (a *annealer) calibrate(expr []int, base float64) float64 {
 	if cnt == 0 {
 		return 1
 	}
-	avg := up / cnt
-	return -avg / math.Log(0.85) // initial acceptance ratio ~0.85
-}
-
-// perturb applies one of the Wong-Liu moves M1 (swap adjacent operands),
-// M2 (complement an operator chain) or M3 (swap an operand with an
-// adjacent operator), returning a fresh expression.
-func (a *annealer) perturb(expr []int) ([]int, bool) {
-	next := append([]int(nil), expr...)
-	switch a.rng.Intn(3) {
-	case 0:
-		return next, a.moveM1(next)
-	case 1:
-		return next, a.moveM2(next)
-	default:
-		return next, a.moveM3(next)
-	}
-}
-
-// moveM1 swaps two operands adjacent in the operand subsequence.
-func (a *annealer) moveM1(expr []int) bool {
-	var opIdx []int
-	for i, t := range expr {
-		if !isOperator(t) {
-			opIdx = append(opIdx, i)
-		}
-	}
-	if len(opIdx) < 2 {
-		return false
-	}
-	k := a.rng.Intn(len(opIdx) - 1)
-	i, j := opIdx[k], opIdx[k+1]
-	expr[i], expr[j] = expr[j], expr[i]
-	return true
-}
-
-// moveM2 complements one maximal chain of operators.
-func (a *annealer) moveM2(expr []int) bool {
-	type chain struct{ s, e int }
-	var chains []chain
-	for i := 0; i < len(expr); {
-		if isOperator(expr[i]) {
-			s := i
-			for i < len(expr) && isOperator(expr[i]) {
-				i++
-			}
-			chains = append(chains, chain{s, i})
-		} else {
-			i++
-		}
-	}
-	if len(chains) == 0 {
-		return false
-	}
-	c := chains[a.rng.Intn(len(chains))]
-	for i := c.s; i < c.e; i++ {
-		if expr[i] == opH {
-			expr[i] = opV
-		} else {
-			expr[i] = opH
-		}
-	}
-	return true
-}
-
-// moveM3 swaps one adjacent operand-operator pair, keeping the expression
-// a normalized Polish expression.
-func (a *annealer) moveM3(expr []int) bool {
-	n := (len(expr) + 1) / 2
-	// Collect candidate positions and try them in random order.
-	perm := a.rng.Perm(len(expr) - 1)
-	for _, i := range perm {
-		if isOperator(expr[i]) == isOperator(expr[i+1]) {
-			continue
-		}
-		expr[i], expr[i+1] = expr[i+1], expr[i]
-		if validExpr(expr, n) == nil {
-			return true
-		}
-		expr[i], expr[i+1] = expr[i+1], expr[i] // undo
-	}
-	return false
-}
-
-// shapeCost scores a bounding shape: area in free-width mode, height
-// scaled by a quadratic excess-width penalty in fixed-width mode (see
-// Config.FixedWidth).
-func (a *annealer) shapeCost(w, h float64) float64 {
-	if fw := a.cfg.FixedWidth; fw > 0 {
-		over := math.Max(w/fw, 1)
-		return h * over * over
-	}
-	return w * h
-}
-
-// cost evaluates the best (shape cost + lambda*HPWL) over the shape
-// curve of the expression.
-func (a *annealer) cost(expr []int) float64 {
-	res := a.decode(expr)
-	c := a.shapeCost(res.ChipWidth, res.Height)
-	if a.cfg.Lambda > 0 {
-		c += a.cfg.Lambda * res.HPWL()
-	}
-	return c
-}
-
-// decode evaluates the expression's shape curve, picks the best final
-// shape and extracts module rectangles.
-func (a *annealer) decode(expr []int) *core.Result {
-	type nodeCurve struct {
-		curve []shapePoint
-		op    int
-		l, r  int // node indices in the eval forest (-1 leaf)
-		leaf  int // module index for leaves
-	}
-	var nodes []nodeCurve
-	var stack []int
-	for _, t := range expr {
-		if !isOperator(t) {
-			nodes = append(nodes, nodeCurve{curve: a.leaves[t], l: -1, r: -1, leaf: t})
-			stack = append(stack, len(nodes)-1)
-			continue
-		}
-		rIdx := stack[len(stack)-1]
-		lIdx := stack[len(stack)-2]
-		stack = stack[:len(stack)-2]
-		nodes = append(nodes, nodeCurve{
-			curve: combine(t, nodes[lIdx].curve, nodes[rIdx].curve),
-			op:    t, l: lIdx, r: rIdx,
-		})
-		stack = append(stack, len(nodes)-1)
-	}
-	root := stack[0]
-
-	// Choose the best point of the root curve.
-	bestK, bestC := 0, math.Inf(1)
-	for k, p := range nodes[root].curve {
-		c := a.shapeCost(p.w, p.h)
-		if c < bestC {
-			bestK, bestC = k, c
-		}
-	}
-
-	res := &core.Result{Design: a.d, Source: "anneal"}
-	// Recursive extraction of rectangles.
-	var place func(ni, k int, x, y float64)
-	place = func(ni, k int, x, y float64) {
-		nd := &nodes[ni]
-		p := nd.curve[k]
-		if nd.l < 0 {
-			r := geom.NewRect(x, y, p.w, p.h)
-			m := &a.d.Modules[nd.leaf]
-			rot := m.Kind == netlist.Rigid && p.leafK == 1
-			res.Placements = append(res.Placements, core.Placement{
-				Index: nd.leaf, Env: r, Mod: r, Rotated: rot,
-			})
-			return
-		}
-		lp := nodes[nd.l].curve[p.li]
-		if nd.op == opV {
-			place(nd.l, p.li, x, y)
-			place(nd.r, p.ri, x+lp.w, y)
-		} else {
-			place(nd.l, p.li, x, y)
-			place(nd.r, p.ri, x, y+lp.h)
-		}
-	}
-	rootPt := nodes[root].curve[bestK]
-	place(root, bestK, 0, 0)
-	res.ChipWidth = rootPt.w
-	res.Height = rootPt.h
-	return res
-}
-
-// Cost exposes the annealer's cost function for tests and benchmarks.
-func Cost(d *netlist.Design, expr []int, cfg Config) (float64, error) {
-	if err := validExpr(expr, len(d.Modules)); err != nil {
-		return 0, err
-	}
-	if cfg.FlexSamples <= 0 {
-		cfg.FlexSamples = 6
-	}
-	a := &annealer{d: d, cfg: cfg, leaves: leafCurves(d, cfg.FlexSamples)}
-	return a.cost(expr), nil
+	return -(up / cnt) / math.Log(0.85) // initial acceptance ratio ~0.85
 }

@@ -1,78 +1,15 @@
 package anneal
 
 import (
+	"context"
 	"math"
-	"math/rand"
 	"testing"
 
+	"afp/internal/core"
 	"afp/internal/netlist"
 )
 
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func TestValidExpr(t *testing.T) {
-	good := [][]int{
-		{0},
-		{0, 1, opV},
-		{0, 1, opV, 2, opH},
-		{0, 1, opH, 2, 3, opV, opH}, // adjacent different operators ok
-	}
-	for _, e := range good {
-		n := (len(e) + 1) / 2
-		if err := validExpr(e, n); err != nil {
-			t.Errorf("validExpr(%v) = %v, want nil", e, err)
-		}
-	}
-	bad := []struct {
-		e []int
-		n int
-	}{
-		{[]int{0, 1}, 2},                   // missing operator
-		{[]int{0, opV, 1}, 2},              // balloting violated
-		{[]int{0, 1, opV, 2, opV, opV}, 3}, // wrong length
-		{[]int{0, 0, opV}, 2},              // repeated operand
-		{[]int{0, 1, opH, 2, opH, 3, 9}, 4},
-		{[]int{0, 1, 2, opV, opV}, 3}, // adjacent same operators
-	}
-	for _, c := range bad {
-		if err := validExpr(c.e, c.n); err == nil {
-			t.Errorf("validExpr(%v) succeeded, want error", c.e)
-		}
-	}
-}
-
-func TestInitialExpr(t *testing.T) {
-	e := initialExpr(4)
-	if err := validExpr(e, 4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParetoFilter(t *testing.T) {
-	pts := []shapePoint{{w: 1, h: 5}, {w: 2, h: 3}, {w: 3, h: 3}, {w: 4, h: 1}, {w: 5, h: 1}}
-	out := pareto(pts)
-	if len(out) != 3 {
-		t.Fatalf("pareto kept %d points: %v", len(out), out)
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].w <= out[i-1].w || out[i].h >= out[i-1].h {
-			t.Fatalf("not a strict frontier: %v", out)
-		}
-	}
-}
-
-func TestCombine(t *testing.T) {
-	l := []shapePoint{{w: 2, h: 3}}
-	r := []shapePoint{{w: 1, h: 4}}
-	v := combine(opV, l, r)
-	if len(v) != 1 || v[0].w != 3 || v[0].h != 4 {
-		t.Fatalf("V combine = %v", v)
-	}
-	h := combine(opH, l, r)
-	if len(h) != 1 || h[0].w != 2 || h[0].h != 7 {
-		t.Fatalf("H combine = %v", h)
-	}
-}
+// Each behaviour below is one test run over both representations.
 
 func twoByTwo() *netlist.Design {
 	return &netlist.Design{
@@ -87,88 +24,131 @@ func twoByTwo() *netlist.Design {
 	}
 }
 
-func TestAnnealFourSquares(t *testing.T) {
-	d := twoByTwo()
-	r, err := Floorplan(d, Config{Seed: 1})
+// run is rep.run without a context.
+func run(t *testing.T, rep runner, d *netlist.Design, cfg Config) *core.Result {
+	t.Helper()
+	r, err := rep(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four 2x2 squares pack perfectly into 4x4 = 16 (any slicing of the
-	// square achieves it), so SA must find a zero-dead-space floorplan.
-	if math.Abs(r.ChipArea()-16) > 1e-9 {
-		t.Fatalf("area = %v, want 16", r.ChipArea())
+	return r
+}
+
+// legal fails t unless r places every module of d without overlap and
+// passes core's verification (rotations and flexible shapes included).
+func legal(t *testing.T, d *netlist.Design, r *core.Result) {
+	t.Helper()
+	if len(r.Placements) != len(d.Modules) {
+		t.Fatalf("placed %d of %d modules", len(r.Placements), len(d.Modules))
 	}
 	if r.Overlaps() {
-		t.Fatal("slicing floorplan overlaps")
+		t.Fatal("floorplan overlaps")
 	}
-	if len(r.Placements) != 4 {
-		t.Fatalf("placed %d modules", len(r.Placements))
+	if v := r.Verify(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+}
+
+func TestAnnealFourSquares(t *testing.T) {
+	for _, rep := range representations {
+		t.Run(rep.name, func(t *testing.T) {
+			d := twoByTwo()
+			r := run(t, rep.run, d, Config{Seed: 1})
+			// Four 2x2 squares pack perfectly into 4x4 = 16 (a slicing of
+			// the square achieves it), so both annealers must find a
+			// zero-dead-space floorplan.
+			if math.Abs(r.ChipArea()-16) > 1e-9 {
+				t.Fatalf("area = %v, want 16", r.ChipArea())
+			}
+			legal(t, d, r)
+		})
 	}
 }
 
 func TestAnnealDeterministic(t *testing.T) {
-	d := twoByTwo()
-	r1, _ := Floorplan(d, Config{Seed: 7})
-	r2, _ := Floorplan(d, Config{Seed: 7})
-	if r1.ChipArea() != r2.ChipArea() || r1.HPWL() != r2.HPWL() {
-		t.Fatal("annealer not deterministic for equal seeds")
+	for _, rep := range representations {
+		t.Run(rep.name, func(t *testing.T) {
+			d := twoByTwo()
+			for _, seed := range []int64{4, 7} {
+				r1 := run(t, rep.run, d, Config{Seed: seed})
+				r2 := run(t, rep.run, d, Config{Seed: seed})
+				if r1.ChipArea() != r2.ChipArea() || r1.HPWL() != r2.HPWL() {
+					t.Fatalf("seed %d: not deterministic", seed)
+				}
+			}
+		})
 	}
 }
 
+// Flexible modules keep their area at every sampled width, and a
+// rotatable module placed turned reports Rotated (Verify checks the
+// placed sides against the module's).
 func TestAnnealFlexible(t *testing.T) {
-	d := &netlist.Design{
-		Modules: []netlist.Module{
+	designs := []struct {
+		d     *netlist.Design
+		slack float64 // allowed chip area over the module area
+	}{
+		{&netlist.Design{Modules: []netlist.Module{
 			{Name: "f1", Kind: netlist.Flexible, Area: 8, MinAspect: 0.5, MaxAspect: 2},
 			{Name: "f2", Kind: netlist.Flexible, Area: 8, MinAspect: 0.5, MaxAspect: 2},
 			{Name: "r", Kind: netlist.Rigid, W: 4, H: 2, Rotatable: true},
-		},
+		}}, 1.3},
+		{&netlist.Design{Modules: []netlist.Module{
+			{Name: "f", Kind: netlist.Flexible, Area: 12, MinAspect: 1.0 / 3, MaxAspect: 3},
+			{Name: "r", Kind: netlist.Rigid, W: 6, H: 2, Rotatable: true},
+			{Name: "s", Kind: netlist.Rigid, W: 2, H: 2},
+		}}, 1.35},
 	}
-	r, err := Floorplan(d, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Overlaps() {
-		t.Fatal("overlapping floorplan")
-	}
-	// Total area 24; a good slicing packs with little dead space.
-	if r.ChipArea() > 24*1.3 {
-		t.Fatalf("area = %v, too loose for 24 of module area", r.ChipArea())
-	}
-	// Flexible placements keep their area.
-	for _, p := range r.Placements {
-		m := &d.Modules[p.Index]
-		if m.Kind == netlist.Flexible && math.Abs(p.Mod.Area()-m.Area) > 1e-6 {
-			t.Fatalf("flexible area = %v, want %v", p.Mod.Area(), m.Area)
-		}
+	for _, rep := range representations {
+		t.Run(rep.name, func(t *testing.T) {
+			for i, c := range designs {
+				for _, seed := range []int64{2, 3} {
+					r := run(t, rep.run, c.d, Config{Seed: seed})
+					legal(t, c.d, r)
+					if total := c.d.TotalArea(); r.ChipArea() > total*c.slack {
+						t.Fatalf("design %d seed %d: area = %v, too loose for %v of module area", i, seed, r.ChipArea(), total)
+					}
+					for _, p := range r.Placements {
+						m := &c.d.Modules[p.Index]
+						if m.Kind == netlist.Flexible && math.Abs(p.Mod.Area()-m.Area) > 1e-6 {
+							t.Fatalf("flexible area = %v, want %v", p.Mod.Area(), m.Area)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
 func TestAnnealSingleAndEmpty(t *testing.T) {
-	d := &netlist.Design{Modules: []netlist.Module{{Name: "a", Kind: netlist.Rigid, W: 3, H: 5}}}
-	r, err := Floorplan(d, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ChipArea() != 15 {
-		t.Fatalf("single module area = %v", r.ChipArea())
-	}
-	empty, err := Floorplan(&netlist.Design{}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Placements) != 0 {
-		t.Fatal("empty design placed modules")
+	for _, rep := range representations {
+		t.Run(rep.name, func(t *testing.T) {
+			d := &netlist.Design{Modules: []netlist.Module{{Name: "a", Kind: netlist.Rigid, W: 3, H: 5}}}
+			if r := run(t, rep.run, d, Config{}); r.ChipArea() != 15 || r.Source != rep.source {
+				t.Fatalf("single module: area %v, source %q", r.ChipArea(), r.Source)
+			}
+			empty := run(t, rep.run, &netlist.Design{}, Config{})
+			if len(empty.Placements) != 0 || empty.Source != rep.source {
+				t.Fatalf("empty design: %d placements, source %q", len(empty.Placements), empty.Source)
+			}
+		})
 	}
 }
 
+// With a strong lambda, the connected modules 0 and 3 end up no farther
+// apart than without.
 func TestAnnealWirelengthLambda(t *testing.T) {
-	// With a strong lambda, the connected modules 0 and 3 should end up
-	// closer than without.
-	d := twoByTwo()
-	noWire, _ := Floorplan(d, Config{Seed: 2})
-	wire, _ := Floorplan(d, Config{Seed: 2, Lambda: 10})
-	if wire.HPWL() > noWire.HPWL()+1e-9 {
-		t.Fatalf("lambda did not reduce HPWL: %v vs %v", wire.HPWL(), noWire.HPWL())
+	for _, rep := range representations {
+		t.Run(rep.name, func(t *testing.T) {
+			d := twoByTwo()
+			for _, seed := range []int64{2, 3} {
+				noWire := run(t, rep.run, d, Config{Seed: seed})
+				wire := run(t, rep.run, d, Config{Seed: seed, Lambda: 10})
+				if wire.HPWL() > noWire.HPWL()+1e-9 {
+					t.Fatalf("seed %d: lambda did not reduce HPWL: %v vs %v", seed, wire.HPWL(), noWire.HPWL())
+				}
+			}
+		})
 	}
 }
 
@@ -176,49 +156,17 @@ func TestAnnealAMI33(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ami33 anneal in -short mode")
 	}
-	d := netlist.AMI33()
-	r, err := Floorplan(d, Config{Seed: 1, MovesPerTemp: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Overlaps() {
-		t.Fatal("ami33 slicing floorplan overlaps")
-	}
-	util := d.TotalArea() / r.ChipArea()
-	if util < 0.6 {
-		t.Fatalf("ami33 SA utilization %.2f, too low", util)
-	}
-	t.Logf("ami33 SA: area %.0f, util %.1f%%", r.ChipArea(), 100*util)
-}
-
-func TestMovesPreserveValidity(t *testing.T) {
-	d := netlist.Random(12, 4)
-	a := &annealer{d: d, cfg: Config{FlexSamples: 4}, leaves: leafCurves(d, 4)}
-	a.rng = newRng(9)
-	expr := initialExpr(12)
-	for i := 0; i < 500; i++ {
-		next, ok := a.perturb(expr)
-		if !ok {
-			continue
-		}
-		if err := validExpr(next, 12); err != nil {
-			t.Fatalf("move %d broke the expression: %v\n%v", i, err, next)
-		}
-		expr = next
-	}
-}
-
-func TestCostExported(t *testing.T) {
-	d := twoByTwo()
-	c, err := Cost(d, initialExpr(4), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row of four 2x2: 8x2 = 16.
-	if math.Abs(c-16) > 1e-9 {
-		t.Fatalf("cost = %v, want 16", c)
-	}
-	if _, err := Cost(d, []int{0, 1}, Config{}); err == nil {
-		t.Fatal("expected error for invalid expression")
+	movesPerTemp := map[string]int{"slicing": 200, "seqpair": 150}
+	for _, rep := range representations {
+		t.Run(rep.name, func(t *testing.T) {
+			d := netlist.AMI33()
+			r := run(t, rep.run, d, Config{Seed: 1, MovesPerTemp: movesPerTemp[rep.name]})
+			legal(t, d, r)
+			util := d.TotalArea() / r.ChipArea()
+			if util < 0.6 {
+				t.Fatalf("ami33 utilization %.2f, too low", util)
+			}
+			t.Logf("ami33 %s: area %.0f, util %.1f%%", rep.name, r.ChipArea(), 100*util)
+		})
 	}
 }

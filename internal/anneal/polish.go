@@ -1,9 +1,3 @@
-// Package anneal implements the slicing-floorplan simulated-annealing
-// baseline of Wong and Liu ("A New Algorithm for Floorplan Design", DAC
-// 1986) — the state of the art the paper positions its analytical method
-// against. Floorplans are normalized Polish expressions over H/V cuts;
-// moves M1/M2/M3 perturb the expression; module shapes are combined with
-// Stockmeyer-style shape curves.
 package anneal
 
 import (
@@ -69,9 +63,9 @@ func initialExpr(n int) []int {
 // shapePoint is one realizable (w, h) of a subfloorplan, with back
 // pointers to the child points that realize it.
 type shapePoint struct {
-	w, h   float64
-	li, ri int // child point indices (-1 for leaves)
-	leafK  int // leaf option index (orientation / flexible sample)
+	w, h    float64
+	li, ri  int  // child point indices (-1 for leaves)
+	rotated bool // a leaf's module is turned by 90 degrees
 }
 
 // combine merges two shape curves under an operator, keeping only

@@ -18,7 +18,6 @@ import (
 	"afp/internal/obs"
 	"afp/internal/order"
 	"afp/internal/route"
-	"afp/internal/seqpair"
 )
 
 // metrics receives per-row timing and counter breakdowns from the table
@@ -298,7 +297,7 @@ func Baseline(mode Mode) ([]BaselineRow, error) {
 	})
 
 	start = time.Now()
-	spRes, err := seqpair.Floorplan(d, seqpair.Config{Seed: 1, MovesPerTemp: moves})
+	spRes, err := anneal.SeqPair(d, anneal.Config{Seed: 1, MovesPerTemp: moves})
 	if err != nil {
 		return nil, err
 	}

@@ -115,8 +115,20 @@ func (r *Result) HPWL() float64 {
 	for _, p := range r.Placements {
 		pos[p.Index] = [2]float64{p.Mod.CenterX(), p.Mod.CenterY()}
 	}
+	return NetHPWL(r.Design.Nets, func(i int) (x, y float64, ok bool) {
+		c, ok := pos[i]
+		return c[0], c[1], ok
+	})
+}
+
+// NetHPWL is HPWL's measure for a layout held outside a Result: the
+// weighted half-perimeter wirelength of nets with module i's pin at
+// center(i), skipping the modules for which center reports false. The
+// sequence-pair annealer scores every move with it without building a
+// Result.
+func NetHPWL(nets []netlist.Net, center func(i int) (x, y float64, ok bool)) float64 {
 	var total float64
-	for _, net := range r.Design.Nets {
+	for _, net := range nets {
 		w := net.Weight
 		if w == 0 {
 			w = 1
@@ -124,26 +136,26 @@ func (r *Result) HPWL() float64 {
 		first := true
 		var minX, maxX, minY, maxY float64
 		for _, mi := range net.Modules {
-			c, ok := pos[mi]
+			x, y, ok := center(mi)
 			if !ok {
 				continue
 			}
 			if first {
-				minX, maxX, minY, maxY = c[0], c[0], c[1], c[1]
+				minX, maxX, minY, maxY = x, x, y, y
 				first = false
 				continue
 			}
-			if c[0] < minX {
-				minX = c[0]
+			if x < minX {
+				minX = x
 			}
-			if c[0] > maxX {
-				maxX = c[0]
+			if x > maxX {
+				maxX = x
 			}
-			if c[1] < minY {
-				minY = c[1]
+			if y < minY {
+				minY = y
 			}
-			if c[1] > maxY {
-				maxY = c[1]
+			if y > maxY {
+				maxY = y
 			}
 		}
 		if !first {

@@ -4,7 +4,35 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 )
+
+// MaxRandomN bounds the module count Builtin accepts for "rand". The
+// service resolves generated designs inside the HTTP handler, before
+// admission control, and the generator allocates n modules and 4n nets,
+// so without a bound a one-line request could exhaust the process's
+// memory. 1,000 is 20x ami49, the largest built-in design.
+const MaxRandomN = 1000
+
+// Builtin resolves a built-in design by name, ignoring case: "ami33",
+// "ami49", or "rand", the Random design of n modules (0 < n <=
+// MaxRandomN) drawn from seed. n and seed only matter for "rand". The
+// solve service and the floorplan command both resolve their design
+// names here.
+func Builtin(name string, n int, seed int64) (*Design, error) {
+	switch strings.ToLower(name) {
+	case "ami33":
+		return AMI33(), nil
+	case "ami49":
+		return AMI49(), nil
+	case "rand":
+		if n <= 0 || n > MaxRandomN {
+			return nil, fmt.Errorf("generate %q requires 0 < n <= %d", name, MaxRandomN)
+		}
+		return Random(n, seed), nil
+	}
+	return nil, fmt.Errorf("unknown generator %q (want ami33, ami49 or rand)", name)
+}
 
 // AMI33TotalArea is the total module area of the ami33 benchmark reported
 // in Section 4 of the paper; the synthetic stand-in below matches it

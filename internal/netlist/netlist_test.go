@@ -308,6 +308,49 @@ func TestRandomDesignsUnchanged(t *testing.T) {
 	}
 }
 
+func TestBuiltin(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		modules int
+	}{
+		{"ami33", 0, 33},
+		{"ami49", 7, 49}, // n is ignored for the ami designs
+		{"AMI49", 0, 49},
+		{"rand", 1, 1},
+		{"Rand", 20, 20},
+		{"rand", MaxRandomN, MaxRandomN},
+	} {
+		d, err := Builtin(c.name, c.n, 1)
+		if err != nil {
+			t.Errorf("Builtin(%q, %d): %v", c.name, c.n, err)
+			continue
+		}
+		if len(d.Modules) != c.modules {
+			t.Errorf("Builtin(%q, %d) has %d modules, want %d", c.name, c.n, len(d.Modules), c.modules)
+		}
+	}
+	if d, _ := Builtin("rand", 12, 3); !reflect.DeepEqual(d, Random(12, 3)) {
+		t.Error("Builtin rand differs from Random")
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		want string
+	}{
+		{"rand", 0, `generate "rand" requires 0 < n <= 1000`},
+		{"rand", -3, `generate "rand" requires 0 < n <= 1000`},
+		{"rand", MaxRandomN + 1, `generate "rand" requires 0 < n <= 1000`},
+		{"ami50", 0, `unknown generator "ami50" (want ami33, ami49 or rand)`},
+		{"rand20", 0, `unknown generator "rand20" (want ami33, ami49 or rand)`},
+		{"", 5, `unknown generator "" (want ami33, ami49 or rand)`},
+	} {
+		if _, err := Builtin(c.name, c.n, 1); err == nil || err.Error() != c.want {
+			t.Errorf("Builtin(%q, %d) error = %v, want %q", c.name, c.n, err, c.want)
+		}
+	}
+}
+
 func TestKindSideStrings(t *testing.T) {
 	if Rigid.String() != "rigid" || Flexible.String() != "flexible" {
 		t.Fatal("Kind strings wrong")

@@ -9,7 +9,6 @@ import (
 	"afp/internal/mipmodel"
 	"afp/internal/netlist"
 	"afp/internal/obs"
-	"afp/internal/seqpair"
 )
 
 // backend is one portfolio contestant. run solves the design at the
@@ -28,10 +27,8 @@ func newBackend(name string) (backend, error) {
 	switch name {
 	case "milp":
 		return milpBackend{}, nil
-	case "anneal":
-		return annealBackend{}, nil
-	case "seqpair":
-		return seqpairBackend{}, nil
+	case "anneal", "seqpair":
+		return annealBackend{name}, nil
 	case "project":
 		return projectBackend{}, nil
 	}
@@ -71,50 +68,31 @@ func heuristicLambda(cfg core.Config) float64 {
 	return 0
 }
 
-// annealBackend races the Wong-Liu slicing annealer at the fixed race
-// width, publishing every improvement to the board as it cools.
-type annealBackend struct{}
+// annealBackend races one of the two annealers at the fixed race width,
+// publishing every improvement to the board as it cools: "anneal" is the
+// Wong-Liu slicing annealer and "seqpair" the sequence-pair one, which
+// explores general (non-slicing) packings.
+type annealBackend struct{ id string }
 
-func (annealBackend) name() string { return "anneal" }
-func (annealBackend) exact() bool  { return false }
+func (b annealBackend) name() string { return b.id }
+func (annealBackend) exact() bool    { return false }
 
-func (annealBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
+func (b annealBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
 	c := anneal.Config{
 		Seed:       opts.Seed,
 		Lambda:     heuristicLambda(cfg),
 		FixedWidth: width,
 		Obs:        opts.Obs,
-		Best:       func(r *core.Result) { board.Publish("anneal", r) },
+		Best:       func(r *core.Result) { board.Publish(b.id, r) },
 	}
-	opts.Obs.Do(ctx, "backend.anneal", obs.SpanAttrs{Detail: d.Name}, func(ctx context.Context) {
-		res, err = anneal.FloorplanCtx(ctx, d, c)
-	})
+	attrs := obs.SpanAttrs{Detail: d.Name}
+	if b.id == "seqpair" {
+		opts.Obs.Do(ctx, "backend.seqpair", attrs, func(ctx context.Context) { res, err = anneal.SeqPairCtx(ctx, d, c) })
+	} else {
+		opts.Obs.Do(ctx, "backend.anneal", attrs, func(ctx context.Context) { res, err = anneal.FloorplanCtx(ctx, d, c) })
+	}
 	if res != nil {
-		board.Publish("anneal", res)
-	}
-	return res, err
-}
-
-// seqpairBackend races the sequence-pair annealer, which explores
-// general (non-slicing) packings, at the fixed race width.
-type seqpairBackend struct{}
-
-func (seqpairBackend) name() string { return "seqpair" }
-func (seqpairBackend) exact() bool  { return false }
-
-func (seqpairBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
-	c := seqpair.Config{
-		Seed:       opts.Seed,
-		Lambda:     heuristicLambda(cfg),
-		FixedWidth: width,
-		Obs:        opts.Obs,
-		Best:       func(r *core.Result) { board.Publish("seqpair", r) },
-	}
-	opts.Obs.Do(ctx, "backend.seqpair", obs.SpanAttrs{Detail: d.Name}, func(ctx context.Context) {
-		res, err = seqpair.FloorplanCtx(ctx, d, c)
-	})
-	if res != nil {
-		board.Publish("seqpair", res)
+		board.Publish(b.id, res)
 	}
 	return res, err
 }

@@ -44,34 +44,36 @@ func TestBackendInCacheKey(t *testing.T) {
 	}
 }
 
-// A single heuristic runs end to end through the service as a race of
-// one: the job ends done with the contestant as its source, a legal
-// complete floorplan at the job's chip width, and a repeat submission
-// is a cache hit.
+// Each annealer runs end to end through the service as a race of one:
+// the job ends done with the contestant as its source, a legal complete
+// floorplan at the job's chip width, and a repeat submission is a cache
+// hit.
 func TestAnnealJob(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1})
-	req := smallRequest()
-	req.Options.Backend = "anneal"
-	req.Options.ChipWidth = 6
-	req.Options.TimeoutMS = 30000
-	sr := ts.submit(t, req, http.StatusAccepted)
-	v := ts.await(t, sr.ID, 30*time.Second)
-	if v.State != StateDone {
-		t.Fatalf("anneal job state = %s (%s)", v.State, v.Error)
-	}
-	var res ResultPayload
-	ts.do(t, "GET", "/v1/jobs/"+sr.ID+"/result", nil, http.StatusOK, &res)
-	if res.Source != "anneal" {
-		t.Fatalf("result source = %q, want anneal", res.Source)
-	}
-	if len(res.Violations) > 0 || res.Placed != res.Modules {
-		t.Fatalf("anneal result: violations %v, placed %d/%d", res.Violations, res.Placed, res.Modules)
-	}
-	if res.ChipWidth != 6 {
-		t.Fatalf("anneal chip width = %v, want the requested 6", res.ChipWidth)
-	}
-	if sr2 := ts.submit(t, req, http.StatusOK); !sr2.Cached {
-		t.Fatalf("second anneal submission not served from cache: %+v", sr2)
+	for _, backend := range []string{"anneal", "seqpair"} {
+		req := smallRequest()
+		req.Options.Backend = backend
+		req.Options.ChipWidth = 6
+		req.Options.TimeoutMS = 30000
+		sr := ts.submit(t, req, http.StatusAccepted)
+		v := ts.await(t, sr.ID, 30*time.Second)
+		if v.State != StateDone {
+			t.Fatalf("%s job state = %s (%s)", backend, v.State, v.Error)
+		}
+		var res ResultPayload
+		ts.do(t, "GET", "/v1/jobs/"+sr.ID+"/result", nil, http.StatusOK, &res)
+		if res.Source != backend {
+			t.Fatalf("result source = %q, want %s", res.Source, backend)
+		}
+		if len(res.Violations) > 0 || res.Placed != res.Modules {
+			t.Fatalf("%s result: violations %v, placed %d/%d", backend, res.Violations, res.Placed, res.Modules)
+		}
+		if res.ChipWidth != 6 {
+			t.Fatalf("%s chip width = %v, want the requested 6", backend, res.ChipWidth)
+		}
+		if sr2 := ts.submit(t, req, http.StatusOK); !sr2.Cached {
+			t.Fatalf("second %s submission not served from cache: %+v", backend, sr2)
+		}
 	}
 }
 

@@ -19,13 +19,6 @@ import (
 	"afp/internal/netlist"
 )
 
-// maxGenerateN bounds the "rand" generator's module count. Resolve runs
-// the generator inside the HTTP handler, before admission control, and it
-// allocates n modules and 4n nets, so without a bound a one-line request
-// could exhaust the process's memory. 1,000 is 20x ami49, the largest
-// built-in design.
-const maxGenerateN = 1000
-
 // SolveRequest is the body of POST /v1/solve. Exactly one of Design and
 // Generate must be set: Design carries the instance inline, Generate
 // names a built-in benchmark generator ("ami33", "ami49", "rand" with N
@@ -134,27 +127,14 @@ func Resolve(req *SolveRequest) (*Instance, error) {
 		return nil, fmt.Errorf("exactly one of design and generate must be set")
 	}
 	var d *netlist.Design
-	switch {
-	case req.Design != nil:
-		var err error
+	var err error
+	if req.Design != nil {
 		d, err = req.Design.toDesign()
-		if err != nil {
-			return nil, err
-		}
-	default:
-		switch strings.ToLower(req.Generate) {
-		case "ami33":
-			d = netlist.AMI33()
-		case "ami49":
-			d = netlist.AMI49()
-		case "rand":
-			if req.N <= 0 || req.N > maxGenerateN {
-				return nil, fmt.Errorf("generate %q requires 0 < n <= %d", req.Generate, maxGenerateN)
-			}
-			d = netlist.Random(req.N, req.Seed)
-		default:
-			return nil, fmt.Errorf("unknown generator %q (want ami33, ami49 or rand)", req.Generate)
-		}
+	} else {
+		d, err = netlist.Builtin(req.Generate, req.N, req.Seed)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid design: %w", err)

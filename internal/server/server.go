@@ -84,10 +84,12 @@ func New(cfg Config) *Server {
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.runJob)
 	s.metrics.SetGauge("pool_workers", float64(cfg.Workers))
-	// The trust counters (see obs.MetricsSink) exist from the start, so
+	// The trust counters (see obs.MetricsSink) and the count of live
+	// events SSE followers lost to back-pressure exist from the start, so
 	// scrapers see a zero rather than a missing series.
 	s.metrics.Count("lp_iterlimit", 0)
 	s.metrics.Count("steps_limit", 0)
+	s.metrics.Count("sse_lost_events", 0)
 	return s
 }
 

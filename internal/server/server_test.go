@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"afp/internal/netlist"
 )
 
 // smallRequest is a 5-module inline instance that solves in well under a
@@ -182,6 +184,9 @@ func TestBadRequests(t *testing.T) {
 		ts.submit(t, req, http.StatusBadRequest)
 	}
 }
+
+// maxGenerateN is the largest rand design the service resolves.
+const maxGenerateN = netlist.MaxRandomN
 
 // TestGenerateSizeBound checks the rand generator's module-count bound:
 // the largest allowed design resolves, one more module is a 400 before

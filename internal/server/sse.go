@@ -18,7 +18,9 @@ import (
 // terminal state (done, failed or cancelled), or silently when the
 // client disconnects. Each trace frame's data is the same JSON object a
 // JSONL trace line carries, so SSE consumers and trace files share one
-// decoder.
+// decoder. Live events a slow follower loses to back-pressure are added
+// to the sse_lost_events counter when its stream ends, and a stream that
+// reaches the terminal frame also reports them in a comment.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
@@ -35,7 +37,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests, "too many followers for job %s", j.ID)
 		return
 	}
-	defer j.trace.unsubscribe(sub)
+	// unsubscribe repeats its count, so this deferred call counts the
+	// follower's losses once whichever way the stream ends.
+	defer func() { s.metrics.Count("sse_lost_events", j.trace.unsubscribe(sub)) }()
 	s.metrics.Count("sse_streams", 1)
 	s.metrics.GaugeAdd("sse_clients", 1)
 	defer s.metrics.GaugeAdd("sse_clients", -1)
@@ -48,9 +52,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Write failures mean the client is gone; r.Context() observes the
 	// disconnect on the next select turn, so frame errors are not fatal
 	// here and the deferred unsubscribe cleans up either way.
-	for _, e := range replay {
-		writeSSEEvent(w, e)
-	}
+	replay.Each(func(e obs.Event) { writeSSEEvent(w, e) })
 	fl.Flush()
 
 	hb := s.cfg.SSEHeartbeat

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,8 +173,8 @@ func TestTraceBufferReplayAndBackPressure(t *testing.T) {
 
 	// The replay snapshot holds exactly the pre-subscription events.
 	replay, slow, ok := b.subscribe(1)
-	if !ok || len(replay) != 2 {
-		t.Fatalf("replay = %d events, ok=%v; want 2", len(replay), ok)
+	if !ok || replay.Len() != 2 {
+		t.Fatalf("replay = %d events, ok=%v; want 2", replay.Len(), ok)
 	}
 
 	// A follower with a full channel loses events instead of blocking
@@ -185,6 +187,59 @@ func TestTraceBufferReplayAndBackPressure(t *testing.T) {
 	}
 	if lost := b.unsubscribe(slow); lost != 2 {
 		t.Fatalf("lost = %d, want 2", lost)
+	}
+}
+
+// stallWriter is a streaming response whose body writes block until
+// release is closed; started is closed at the first one.
+type stallWriter struct {
+	header           http.Header
+	started, release chan struct{}
+	once             sync.Once
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return len(p), nil
+}
+
+// A follower that falls behind and then disconnects before its job ends
+// never sees a terminal frame, yet its losses still reach
+// sse_lost_events.
+func TestSSEDisconnectCountsLostEvents(t *testing.T) {
+	s := New(Config{Workers: 1, SSEHeartbeat: time.Hour})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	j := makeIdleJob(t, s)
+	w := &stallWriter{header: http.Header{}, started: make(chan struct{}), release: make(chan struct{})}
+	ctx, disconnect := context.WithCancel(context.Background())
+	req := httptest.NewRequest("GET", "/v1/jobs/"+j.ID+"/events", nil).WithContext(ctx)
+	req.SetPathValue("id", j.ID)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.handleEvents(w, req)
+	}()
+
+	// The first event stalls the stream in its write; the follower's
+	// queue (256 events) then takes 256 of the next 300 and loses 44.
+	j.trace.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: 1})
+	<-w.started
+	for n := 2; n <= 301; n++ {
+		j.trace.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: n})
+	}
+	disconnect()
+	close(w.release)
+	<-served
+	if got := s.metrics.Counter("sse_lost_events"); got != 44 {
+		t.Fatalf("sse_lost_events = %d, want 44", got)
 	}
 }
 
@@ -301,8 +356,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if !strings.Contains(out, "worker_utilization_pct ") {
 			t.Fatalf("Accept %q: exposition missing worker_utilization_pct:\n%s", accept, out)
 		}
-		// The trust counters are scrapeable before any job ran.
-		for _, want := range []string{"lp_iterlimit_total 0", "steps_limit_total 0"} {
+		// The trust counters and the SSE loss counter are scrapeable
+		// before any job ran.
+		for _, want := range []string{"lp_iterlimit_total 0", "steps_limit_total 0", "sse_lost_events_total 0"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("Accept %q: exposition lacks %q:\n%s", accept, want, out)
 			}

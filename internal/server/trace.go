@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 
@@ -111,34 +110,29 @@ func isStructuralKind(k obs.Kind) bool {
 
 // subscribe atomically snapshots the retained events and registers a
 // live follower with a buffered delivery channel, so replay-then-follow
-// over the pair misses nothing emitted in between. The replay is decoded
-// from the snapshot after the lock is released. It fails when the
-// per-job follower cap is reached.
-func (b *traceBuffer) subscribe(buf int) ([]obs.Event, *traceSub, bool) {
+// over the pair misses nothing emitted in between. The caller decodes
+// the replay from the snapshot after the lock is released. It fails
+// when the per-job follower cap is reached.
+func (b *traceBuffer) subscribe(buf int) (obs.EventLogSnapshot, *traceSub, bool) {
 	if buf <= 0 {
 		buf = 256
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if len(b.subs) >= b.maxSubs {
-		b.mu.Unlock()
-		return nil, nil, false
+		return obs.EventLogSnapshot{}, nil, false
 	}
-	snap := b.log.Snapshot()
 	sub := &traceSub{ch: make(chan obs.Event, buf)}
 	if b.subs == nil {
 		b.subs = make(map[*traceSub]struct{})
 	}
 	b.subs[sub] = struct{}{}
-	b.mu.Unlock()
-
-	replay := make([]obs.Event, 0, snap.Len())
-	snap.Each(func(e obs.Event) { replay = append(replay, e) })
-	return replay, sub, true
+	return b.log.Snapshot(), sub, true
 }
 
 // unsubscribe detaches a follower; its channel is no longer written to
 // once unsubscribe returns. Returns how many events the follower lost
-// to back-pressure.
+// to back-pressure; a repeated call returns the same count.
 func (b *traceBuffer) unsubscribe(sub *traceSub) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -169,48 +163,4 @@ func (b *traceBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.log.Len()
-}
-
-// lines decodes the buffered trace back into generic JSON objects; test
-// helper for validating the JSONL framing.
-func (b *traceBuffer) lines() ([]map[string]any, error) {
-	var sb jsonlCollector
-	if err := b.WriteJSONL(&sb); err != nil {
-		return nil, err
-	}
-	return sb.objs, sb.err
-}
-
-// jsonlCollector incrementally decodes written JSONL, line by line.
-type jsonlCollector struct {
-	buf  []byte
-	objs []map[string]any
-	err  error
-}
-
-func (c *jsonlCollector) Write(p []byte) (int, error) {
-	c.buf = append(c.buf, p...)
-	for {
-		i := -1
-		for j, ch := range c.buf {
-			if ch == '\n' {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return len(p), nil
-		}
-		line := c.buf[:i]
-		c.buf = c.buf[i+1:]
-		if len(line) == 0 {
-			continue
-		}
-		var obj map[string]any
-		if err := json.Unmarshal(line, &obj); err != nil && c.err == nil {
-			c.err = err
-		} else {
-			c.objs = append(c.objs, obj)
-		}
-	}
 }

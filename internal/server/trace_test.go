@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -124,7 +125,7 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 				t.Errorf("follower %d refused", f)
 				return
 			}
-			got := replay
+			got := events(replay)
 			timeout := time.After(30 * time.Second)
 			for len(got) < total {
 				select {
@@ -186,11 +187,12 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 			t.Fatalf("served trace %d (%d bytes) is not a prefix of the final trace", i, len(s))
 		}
 	}
-	want, sub, ok := b.subscribe(1)
+	snap, sub, ok := b.subscribe(1)
 	if !ok {
 		t.Fatal("final subscribe refused")
 	}
 	b.unsubscribe(sub)
+	want := events(snap)
 	if len(want) != total {
 		t.Fatalf("retained %d events, want %d", len(want), total)
 	}
@@ -210,6 +212,57 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("follower %d: event %d = %+v, want %+v", f, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// events decodes a replay snapshot into a slice.
+func events(snap obs.EventLogSnapshot) []obs.Event {
+	out := make([]obs.Event, 0, snap.Len())
+	snap.Each(func(e obs.Event) { out = append(out, e) })
+	return out
+}
+
+// lines decodes the buffered trace back into generic JSON objects; test
+// helper for validating the JSONL framing.
+func (b *traceBuffer) lines() ([]map[string]any, error) {
+	var sb jsonlCollector
+	if err := b.WriteJSONL(&sb); err != nil {
+		return nil, err
+	}
+	return sb.objs, sb.err
+}
+
+// jsonlCollector incrementally decodes written JSONL, line by line.
+type jsonlCollector struct {
+	buf  []byte
+	objs []map[string]any
+	err  error
+}
+
+func (c *jsonlCollector) Write(p []byte) (int, error) {
+	c.buf = append(c.buf, p...)
+	for {
+		i := -1
+		for j, ch := range c.buf {
+			if ch == '\n' {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
+			return len(p), nil
+		}
+		line := c.buf[:i]
+		c.buf = c.buf[i+1:]
+		if len(line) == 0 {
+			continue
+		}
+		var obj map[string]any
+		if err := json.Unmarshal(line, &obj); err != nil && c.err == nil {
+			c.err = err
+		} else {
+			c.objs = append(c.objs, obj)
 		}
 	}
 }
