@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short ci fmt vet lint lockgraph cover race bench benchall benchcmp serve e2e generate-check perfbench-check clean
+.PHONY: all build test test-short ci fmt vet lint lockgraph cover race bench benchcmp serve e2e generate-check perfbench-check clean
 
 all: build
 
@@ -99,28 +99,27 @@ serve:
 e2e:
 	$(GO) test -run 'CLI|E2E' -v .
 
-# bench runs the Table 1/Table 3 quick benches (including the Workers=1 vs
-# Workers=4 pairs) plus the presolve node-count ablation and the portfolio
-# race, and persists a machine-readable BENCH_<utc-date>.json snapshot
-# (ns/op, util%, LP iters, nodes, portfolio TTFF, speedups) via
-# cmd/benchjson.
+# bench records a benchmark snapshot: perfbench's four workloads,
+# untraced and traced, at seeds 1 to 5 (about 20 minutes on 2 CPUs),
+# folded by cmd/benchjson into BENCH_<utc-date>.json with n, min,
+# quartiles, median and max per metric, stamped with the host, the Go
+# version and the commit. A run that fails stops the target, and
+# benchjson refuses a run that reports "correct": false.
 bench:
-	$(GO) test -bench='Table1|Table3|Presolve|Portfolio' -benchtime=1x -run=^$$ . > bench.out
-	@cat bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_$$(date -u +%Y-%m-%d).json < bench.out
+	for seed in 1 2 3 4 5; do \
+		bash perfbench/run.sh --workload all --seed $$seed --seconds 20 || exit 1; \
+	done > bench.out
+	$(GO) run ./cmd/benchjson < bench.out
 	@rm -f bench.out
 
-# benchall runs every benchmark once without persisting a snapshot.
-benchall:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# benchcmp diffs the two most recent committed BENCH_*.json snapshots
-# and fails when a Table1* benchmark's B/op regressed by more than 10%
-# (the allocation-regression gate for the paper-reproduction hot path).
+# benchcmp diffs the two newest BENCH_*.json snapshots. It fails when a
+# deterministic counter (a metric whose old runs all agree) changes or
+# gains spread, or when an end-to-end metric's median worsens by more
+# than both its BENCHMARK.json bound and the old interquartile range.
 benchcmp:
 	@set -- $$(ls BENCH_*.json | sort | tail -2); \
 	if [ $$# -lt 2 ]; then echo "benchcmp: need at least two BENCH_*.json snapshots"; exit 1; fi; \
-	$(GO) run ./cmd/benchjson -diff -gate 10 $$1 $$2
+	$(GO) run ./cmd/benchjson -diff $$1 $$2
 
 clean:
 	$(GO) clean ./...

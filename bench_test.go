@@ -1,8 +1,9 @@
-// Benchmarks regenerating the paper's evaluation (one benchmark per
-// table row family and figure; see DESIGN.md section 4) plus the
-// ablation benches for the design choices called out in DESIGN.md
-// section 5. All run in Quick mode so `go test -bench=.` finishes in
-// minutes; cmd/experiments runs the Full-mode versions.
+// Developer benchmarks: the paper's figures, the ablation benches for
+// the design choices called out in DESIGN.md section 5, the presolve and
+// portfolio comparisons and substrate micro-benchmarks. They take one
+// sample per run and keep no record; the paper's tables are measured by
+// perfbench (`make bench` records its snapshots) and regenerated by
+// cmd/experiments.
 package afp_test
 
 import (
@@ -25,124 +26,6 @@ import (
 func quickMILP() milp.Options {
 	return milp.Options{MaxNodes: 600, TimeLimit: 2 * time.Second}
 }
-
-// --- Table 1: execution time vs problem size -----------------------------
-
-func benchFloorplanSize(b *testing.B, d *netlist.Design) {
-	benchFloorplanWorkers(b, d, 0)
-}
-
-// benchFloorplanWorkers runs a Table 1 row at a fixed branch-and-bound
-// worker count (0 = library default). The util%, lpiters, dualpivots and
-// refactors metrics land in the BENCH_*.json snapshots next to ns/op
-// (see cmd/benchjson).
-func benchFloorplanWorkers(b *testing.B, d *netlist.Design, workers int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := core.Floorplan(d, core.Config{GroupSize: 3, MILP: quickMILP(), Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters, pivots, refactors := 0, 0, 0
-		for _, s := range r.Steps {
-			iters += s.LPIters
-			pivots += s.DualPivots
-			refactors += s.Refactors
-		}
-		b.ReportMetric(100*r.Utilization(), "util%")
-		b.ReportMetric(float64(iters), "lpiters")
-		b.ReportMetric(float64(pivots), "dualpivots")
-		b.ReportMetric(float64(refactors), "refactors")
-	}
-}
-
-func BenchmarkTable1Size15(b *testing.B) { benchFloorplanSize(b, netlist.Random(15, 1501)) }
-func BenchmarkTable1Size20(b *testing.B) { benchFloorplanSize(b, netlist.Random(20, 2001)) }
-func BenchmarkTable1Size25(b *testing.B) { benchFloorplanSize(b, netlist.Random(25, 2501)) }
-func BenchmarkTable1AMI33(b *testing.B)  { benchFloorplanSize(b, netlist.AMI33()) }
-
-// Serial vs parallel tree search on Table 1 rows. cmd/benchjson pairs a
-// WorkersN bench with its Workers1 sibling and reports the speedup; on a
-// single-core host the two collapse to similar times.
-func BenchmarkTable1Size15Workers1(b *testing.B) {
-	benchFloorplanWorkers(b, netlist.Random(15, 1501), 1)
-}
-func BenchmarkTable1Size15Workers4(b *testing.B) {
-	benchFloorplanWorkers(b, netlist.Random(15, 1501), 4)
-}
-func BenchmarkTable1Size25Workers1(b *testing.B) {
-	benchFloorplanWorkers(b, netlist.Random(25, 2501), 1)
-}
-func BenchmarkTable1Size25Workers4(b *testing.B) {
-	benchFloorplanWorkers(b, netlist.Random(25, 2501), 4)
-}
-
-// --- Table 2: objective x ordering on ami33 ------------------------------
-
-func benchTable2(b *testing.B, obj mipmodel.Objective, random bool) {
-	d := netlist.AMI33()
-	cfg := core.Config{GroupSize: 3, MILP: quickMILP(), Objective: obj, WireWeight: 0.02, PostOptimize: true}
-	if random {
-		cfg.Ordering = orderRandom(d)
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := core.Floorplan(d, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.Utilization(), "util%")
-		b.ReportMetric(r.HPWL(), "hpwl")
-	}
-}
-
-func orderRandom(d *netlist.Design) []int {
-	// package order is imported indirectly through core; rebuild a local
-	// deterministic shuffle to keep this file self-contained.
-	ord := make([]int, len(d.Modules))
-	for i := range ord {
-		ord[i] = i
-	}
-	s := int64(42)
-	for i := len(ord) - 1; i > 0; i-- {
-		s = s*6364136223846793005 + 1442695040888963407
-		j := int((s >> 33) % int64(i+1))
-		if j < 0 {
-			j = -j
-		}
-		ord[i], ord[j] = ord[j], ord[i]
-	}
-	return ord
-}
-
-func BenchmarkTable2AreaLinear(b *testing.B) { benchTable2(b, mipmodel.AreaOnly, false) }
-func BenchmarkTable2AreaRandom(b *testing.B) { benchTable2(b, mipmodel.AreaOnly, true) }
-func BenchmarkTable2WireLinear(b *testing.B) { benchTable2(b, mipmodel.AreaWire, false) }
-func BenchmarkTable2WireRandom(b *testing.B) { benchTable2(b, mipmodel.AreaWire, true) }
-
-// --- Table 3: envelopes x routing algorithm on ami33 ---------------------
-
-func benchTable3(b *testing.B, envelopes bool, alg route.Algorithm) {
-	d := netlist.AMI33()
-	cfg := core.Config{GroupSize: 3, MILP: quickMILP(), Envelopes: envelopes, PostOptimize: true}
-	fp, err := core.Floorplan(d, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr, err := route.Route(fp, route.Config{Algorithm: alg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rr.FinalArea(), "finalArea")
-		b.ReportMetric(rr.Wirelength, "wirelen")
-	}
-}
-
-func BenchmarkTable3BareShortest(b *testing.B) { benchTable3(b, false, route.ShortestPath) }
-func BenchmarkTable3BareWeighted(b *testing.B) { benchTable3(b, false, route.WeightedShortestPath) }
-func BenchmarkTable3EnvShortest(b *testing.B)  { benchTable3(b, true, route.ShortestPath) }
-func BenchmarkTable3EnvWeighted(b *testing.B)  { benchTable3(b, true, route.WeightedShortestPath) }
 
 // --- Figures --------------------------------------------------------------
 
@@ -392,7 +275,17 @@ func BenchmarkAblationAugmentation(b *testing.B) { benchExactVsAug(b, false) }
 
 // Scaling extension beyond the paper's Table 1: the 49-module synthetic
 // ami49 stand-in.
-func BenchmarkExtensionAMI49(b *testing.B) { benchFloorplanSize(b, netlist.AMI49()) }
+func BenchmarkExtensionAMI49(b *testing.B) {
+	d := netlist.AMI49()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := core.Floorplan(d, core.Config{GroupSize: 3, MILP: quickMILP()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(100*r.Utilization(), "util%")
+	}
+}
 
 // --- Substrate micro-benchmarks -------------------------------------------
 

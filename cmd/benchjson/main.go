@@ -1,228 +1,250 @@
-// Command benchjson converts `go test -bench` text output (stdin) into a
-// machine-readable JSON snapshot, so the repository can commit dated
-// BENCH_<utc-date>.json files and track the performance trajectory. Every
-// reported metric survives — ns/op, B/op, allocs/op and custom
-// b.ReportMetric units like util% and lpiters — and benchmarks named
-// `<base>Workers<N>` are paired with their `<base>Workers1` sibling to
-// derive wall-clock speedups. `make bench` wires it up.
-//
-// With -diff OLD.json NEW.json it instead compares two snapshots,
-// printing the relative change of every shared metric plus any
-// benchmarks added or removed — metrics present on only one side are
-// called out as old-only/new-only rather than silently skipped;
-// `make benchcmp` diffs the two most recent snapshots. Adding
-// -gate <pct> turns the diff into a regression gate: the exit status is
-// nonzero when any Table1* benchmark's B/op grew by more than pct
-// percent, so allocation regressions on the paper-reproduction hot path
-// fail CI instead of drifting in.
+// Command benchjson keeps the repository's benchmark record. Fed the
+// output of perfbench runs (`make bench`), it writes a snapshot with n,
+// min, quartiles, median and max of each workload's metrics, stamped with
+// the host, the Go version and the commit; it refuses any run that
+// reports "correct": false. -diff OLD.json NEW.json (`make benchcmp`)
+// fails when a deterministic counter (a metric whose old runs agree
+// within 1e-9 relative) moves, or when an end-to-end metric of
+// BENCHMARK.json (read from the working directory) moves its median the
+// wrong way by more than both its bound and the old interquartile range.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
-	"regexp"
-	"runtime"
+	"os/exec"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// Benchmark is one parsed result line.
-type Benchmark struct {
-	Name string `json:"name"`
-	// Procs is the GOMAXPROCS suffix of the benchmark name (the "-8" of
-	// "BenchmarkFoo-8"); 0 when absent.
-	Procs      int                `json:"procs,omitempty"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// Snapshot is the whole file.
+// Snapshot is one BENCH_<date>.json file. Metrics are keyed by workload
+// and metric, as "table1 lp.dual_pivots".
 type Snapshot struct {
-	Date       string      `json:"date"`
-	GoVersion  string      `json:"go"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	CPUs       int         `json:"cpus"`
-	Benchmarks []Benchmark `json:"benchmarks"`
-	// Speedups maps a WorkersN benchmark to its ns/op ratio versus the
-	// matching Workers1 run: >1 means the parallel search is faster.
-	Speedups map[string]float64 `json:"speedups,omitempty"`
-	// PortfolioTTFF collects the portfolio_ttff_ms metric (time to first
-	// verified feasible incumbent of a portfolio race, in milliseconds)
-	// across benchmarks, so snapshots track racing latency as a named
-	// series beside the per-benchmark metrics.
-	PortfolioTTFF map[string]float64 `json:"portfolio_ttff_ms,omitempty"`
+	Date   string `json:"date"`
+	Commit string `json:"commit"`
+	Host
+	Seeds   []int64            `json:"seeds"`
+	Metrics map[string]Summary `json:"metrics"`
 }
 
-var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(-(\d+))?\s+(\d+)\s+(.*)$`)
+// Host is the stamp all runs of a snapshot share; Seconds is the length
+// of each measured phase.
+type Host struct {
+	Go         string  `json:"go"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"numcpu"`
+	Seconds    float64 `json:"seconds"`
+}
+
+// Summary is one metric over the runs that reported it.
+type Summary struct {
+	Unit   string  `json:"unit"`
+	N      int     `json:"n"`
+	Min    float64 `json:"min"`
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+	Max    float64 `json:"max"`
+}
+
+// stamp is what benchjson reads of a perfbench stamp line.
+type stamp struct {
+	Workload string   `json:"workload"`
+	Seed     int64    `json:"seed"`
+	Trace    bool     `json:"trace"`
+	Failures []string `json:"failures"`
+	Host
+}
 
 func main() {
-	out := flag.String("out", "", "output file (empty = stdout)")
-	date := flag.String("date", "", "snapshot date (default: today, UTC)")
+	date := time.Now().UTC().Format("2006-01-02")
+	out := flag.String("out", "BENCH_"+date+".json", "snapshot file to write")
 	diff := flag.Bool("diff", false, "compare two snapshot files: benchjson -diff OLD.json NEW.json")
-	gate := flag.Float64("gate", 0, "with -diff: fail when a Table1* benchmark's B/op regresses by more than this percentage (0 disables)")
 	flag.Parse()
-
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -diff needs exactly two snapshot files")
-			os.Exit(1)
+	var err error
+	switch {
+	case *diff && flag.NArg() != 2:
+		err = errors.New("-diff needs exactly two snapshot files")
+	case *diff:
+		var bench benchmarkJSON
+		if err = readJSON("BENCHMARK.json", &bench); err == nil {
+			err = runDiff(os.Stdout, flag.Arg(0), flag.Arg(1), bench.EndToEnd)
 		}
-		if err := runDiff(os.Stdout, flag.Arg(0), flag.Arg(1), *gate); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
+	default:
+		err = record(os.Stdin, *out, date)
 	}
-
-	snap, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	snap.Date = *date
-	if snap.Date == "" {
-		snap.Date = time.Now().UTC().Format("2006-01-02")
-	}
-
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(snap.Benchmarks), *out)
-	}
 }
 
-// parse consumes `go test -bench` output and keeps every metric of every
-// Benchmark line. Non-benchmark lines (PASS, ok, goos headers) are
-// skipped, so piping the whole test output through is fine.
-func parse(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
+// record aggregates the runs on r and writes the snapshot to out.
+func record(r io.Reader, out, date string) error {
+	snap, err := aggregate(r)
+	if err != nil {
+		return err
 	}
+	snap.Date, snap.Commit = date, "unknown"
+	// The commit checked out, suffixed -dirty when tracked files differ.
+	if b, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output(); err == nil {
+		snap.Commit = strings.TrimSpace(string(b))
+	}
+	blob, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, append(blob, '\n'), 0o644)
+}
+
+// aggregate folds perfbench output into a snapshot. It fails on a run
+// that is not correct, on a stamp without its result line, and on runs
+// whose host stamps differ.
+func aggregate(r io.Reader) (*Snapshot, error) {
+	snap := &Snapshot{Metrics: map[string]Summary{}}
+	values := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
-		if m == nil {
-			continue
+		text, isStamp := strings.CutPrefix(sc.Text(), "stamp ")
+		var st stamp
+		if err := json.Unmarshal([]byte(text), &st); !isStamp || err != nil || st.Workload == "" {
+			return nil, fmt.Errorf("want a perfbench stamp line, got %q (%v)", text, err)
 		}
-		iters, err := strconv.ParseInt(m[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %q: %v", sc.Text(), err)
-		}
-		b := Benchmark{Name: m[1], Iterations: iters, Metrics: map[string]float64{}}
-		if m[3] != "" {
-			b.Procs, _ = strconv.Atoi(m[3])
-		}
-		fields := strings.Fields(m[5])
-		if len(fields)%2 != 0 {
-			return nil, fmt.Errorf("line %q: odd metric fields", sc.Text())
-		}
-		for i := 0; i < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %q: metric %q: %v", sc.Text(), fields[i+1], err)
+		run := fmt.Sprintf("%s seed %d trace %v", st.Workload, st.Seed, st.Trace)
+		var res struct {
+			Correct bool
+			Metrics map[string]struct {
+				Value float64
+				Unit  string
 			}
-			b.Metrics[fields[i+1]] = v
 		}
-		snap.Benchmarks = append(snap.Benchmarks, b)
+		if !sc.Scan() || json.Unmarshal(sc.Bytes(), &res) != nil {
+			return nil, fmt.Errorf("%s: no result line after the stamp", run)
+		}
+		if !res.Correct {
+			return nil, fmt.Errorf("%s is not correct (%s); no snapshot written", run, strings.Join(st.Failures, "; "))
+		}
+		if len(values) > 0 && st.Host != snap.Host {
+			return nil, fmt.Errorf("%s has host stamp %+v; earlier runs had %+v", run, st.Host, snap.Host)
+		}
+		snap.Host = st.Host
+		if !slices.Contains(snap.Seeds, st.Seed) {
+			snap.Seeds = append(snap.Seeds, st.Seed)
+		}
+		for name, m := range res.Metrics {
+			key := st.Workload + " " + name
+			values[key] = append(values[key], m.Value)
+			snap.Metrics[key] = summarize(m.Unit, values[key])
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(snap.Benchmarks) == 0 {
-		return nil, fmt.Errorf("no benchmark lines on stdin")
+	if len(values) == 0 {
+		return nil, errors.New("no perfbench runs on stdin")
 	}
-	snap.Speedups = speedups(snap.Benchmarks)
-	snap.PortfolioTTFF = ttffSeries(snap.Benchmarks)
 	return snap, nil
 }
 
-// ttffSeries extracts the portfolio_ttff_ms metric by benchmark name.
-func ttffSeries(bs []Benchmark) map[string]float64 {
-	out := map[string]float64{}
-	for _, b := range bs {
-		if v, ok := b.Metrics["portfolio_ttff_ms"]; ok {
-			out[b.Name] = v
+// summarize returns the order statistics of xs; quartiles interpolate
+// linearly between order statistics, as perfbench's percentiles do.
+func summarize(unit string, xs []float64) Summary {
+	s := slices.Clone(xs)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
 		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return Summary{Unit: unit, N: len(s), Min: s[0], Q1: q(0.25), Median: q(0.5), Q3: q(0.75), Max: s[len(s)-1]}
 }
 
-var workersName = regexp.MustCompile(`^(.*)Workers(\d+)$`)
-
-// speedups pairs every <base>WorkersN benchmark (N > 1) with its
-// <base>Workers1 sibling by ns/op.
-func speedups(bs []Benchmark) map[string]float64 {
-	nsop := make(map[string]float64, len(bs))
-	for _, b := range bs {
-		nsop[b.Name] = b.Metrics["ns/op"]
-	}
-	out := map[string]float64{}
-	for _, b := range bs {
-		m := workersName.FindStringSubmatch(b.Name)
-		if m == nil || m[2] == "1" {
-			continue
-		}
-		serial, ok := nsop[m[1]+"Workers1"]
-		par := b.Metrics["ns/op"]
-		if !ok || serial <= 0 || par <= 0 {
-			continue
-		}
-		out[b.Name] = serial / par
-	}
-	return out
+// benchmarkJSON is what -diff reads of BENCHMARK.json: by how much of its
+// old median each end-to-end metric may worsen, in the direction better.
+type benchmarkJSON struct {
+	EndToEnd []bound `json:"end_to_end"`
 }
 
-// loadSnapshot reads one committed BENCH_*.json file.
+type bound struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// loadSnapshot reads one snapshot. The go test -bench snapshots from
+// before perfbench have no metrics map and are rejected.
 func loadSnapshot(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	var s Snapshot
+	if err := readJSON(path, &s); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var s Snapshot
-	if err := json.NewDecoder(f).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if len(s.Metrics) == 0 {
+		return nil, fmt.Errorf("%s is not a perfbench snapshot (no metrics); snapshots of the go test -bench harness cannot be diffed", path)
 	}
 	return &s, nil
 }
 
-// runDiff prints the relative change of every metric shared by the two
-// snapshots, one line per benchmark/metric pair, plus benchmarks that
-// appear in only one of them. Metrics present on only one side of a
-// shared benchmark are reported as old-only/new-only: a metric silently
-// vanishing from the snapshot (a dropped b.ReportMetric, a renamed
-// unit) should be visible in the diff, not elided. With gatePct > 0 the
-// diff fails when any Table1* benchmark's B/op regressed by more than
-// that percentage.
-func runDiff(w io.Writer, oldPath, newPath string, gatePct float64) error {
+func readJSON(path string, v any) error {
+	blob, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(blob, v)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// agree reports whether a and b are equal within 1e-9 relative: the float
+// noise of a per-solve mean of integer counts.
+func agree(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// verdict applies the gate to one metric present in the old snapshot.
+// kind is how it is gated: "counter", "end-to-end" or "" for printed
+// only; failure says why it fails, or is empty.
+func verdict(name string, o, n Summary, inNew bool, bounds []bound) (kind, failure string) {
+	i := slices.IndexFunc(bounds, func(b bound) bool { return b.Name == name })
+	switch {
+	case agree(o.Min, o.Max):
+		kind = "counter"
+		if !agree(n.Min, o.Min) || !agree(n.Max, o.Max) {
+			failure = fmt.Sprintf("counter moved from %.10g to [%.10g, %.10g]", o.Median, n.Min, n.Max)
+		}
+	case i >= 0:
+		kind = "end-to-end"
+		b, worse := bounds[i], n.Median-o.Median
+		if b.Better == "higher" {
+			worse = -worse
+		}
+		if iqr := o.Q3 - o.Q1; worse > b.Bound*math.Abs(o.Median) && worse > iqr {
+			failure = fmt.Sprintf("median worse by %.4g, beyond the %g bound (%.4g) and the old IQR (%.4g)",
+				worse, b.Bound, b.Bound*math.Abs(o.Median), iqr)
+		}
+	}
+	if kind != "" && !inNew {
+		failure = kind + " missing from the new snapshot"
+	}
+	return kind, failure
+}
+
+// runDiff prints each metric's old and new median and quartiles with its
+// verdict, and returns an error naming every metric that fails the gate.
+func runDiff(w io.Writer, oldPath, newPath string, bounds []bound) error {
 	oldS, err := loadSnapshot(oldPath)
 	if err != nil {
 		return err
@@ -231,60 +253,36 @@ func runDiff(w io.Writer, oldPath, newPath string, gatePct float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s (%s) -> %s (%s)\n", oldPath, oldS.Date, newPath, newS.Date)
-	oldBy := make(map[string]Benchmark, len(oldS.Benchmarks))
-	for _, b := range oldS.Benchmarks {
-		oldBy[b.Name] = b
+	for i, s := range []*Snapshot{oldS, newS} {
+		fmt.Fprintf(w, "%s: %s, commit %s, %s, GOMAXPROCS %d, %d CPUs, %gs runs, seeds %v\n",
+			[]string{oldPath, newPath}[i], s.Date, s.Commit, s.Go, s.GOMAXPROCS, s.NumCPU, s.Seconds, s.Seeds)
 	}
-	var regressions []string
-	seen := make(map[string]bool, len(newS.Benchmarks))
-	for _, nb := range newS.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := oldBy[nb.Name]
-		if !ok {
-			fmt.Fprintf(w, "%-40s  added\n", nb.Name)
-			continue
-		}
-		keys := make([]string, 0, len(nb.Metrics)+len(ob.Metrics))
-		for k := range nb.Metrics {
-			keys = append(keys, k)
-		}
-		for k := range ob.Metrics {
-			if _, shared := nb.Metrics[k]; !shared {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			ov, inOld := ob.Metrics[k]
-			nv, inNew := nb.Metrics[k]
-			switch {
-			case !inOld:
-				fmt.Fprintf(w, "%-40s  %-10s  %12s -> %-12.4g  new-only\n", nb.Name, k, "(none)", nv)
-				continue
-			case !inNew:
-				fmt.Fprintf(w, "%-40s  %-10s  %12.4g -> %-12s  old-only\n", nb.Name, k, ov, "(none)")
-				continue
-			}
-			fmt.Fprintf(w, "%-40s  %-10s  %12.4g -> %-12.4g", nb.Name, k, ov, nv)
-			if ov != 0 {
-				pct := 100 * (nv - ov) / ov
-				fmt.Fprintf(w, "  %+.1f%%", pct)
-				if gatePct > 0 && k == "B/op" && strings.HasPrefix(nb.Name, "Table1") && pct > gatePct {
-					regressions = append(regressions,
-						fmt.Sprintf("%s B/op %+.1f%% (gate %g%%)", nb.Name, pct, gatePct))
-				}
-			}
-			fmt.Fprintln(w)
-		}
+	union := maps.Clone(newS.Metrics)
+	maps.Copy(union, oldS.Metrics)
+	ids := make([]string, 0, len(union))
+	for id := range union {
+		ids = append(ids, id)
 	}
-	for _, ob := range oldS.Benchmarks {
-		if !seen[ob.Name] {
-			fmt.Fprintf(w, "%-40s  removed\n", ob.Name)
+	sort.Strings(ids)
+	var failures []string
+	for _, id := range ids {
+		o, inOld := oldS.Metrics[id]
+		n, inNew := newS.Metrics[id]
+		status, failure := "new", ""
+		if inOld {
+			status, failure = verdict(id[strings.IndexByte(id, ' ')+1:], o, n, inNew, bounds)
 		}
+		if failure != "" {
+			failures = append(failures, id+": "+failure)
+			status = "FAIL " + failure
+		}
+		fmt.Fprintf(w, "%-38s %34s -> %-34s %s\n", id, quartiles(o), quartiles(n), status)
 	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("allocation regression gate failed: %s", strings.Join(regressions, "; "))
+	if len(failures) > 0 {
+		return fmt.Errorf("%d metrics failed the gate:\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
 }
+
+// quartiles prints a summary as its median and quartiles.
+func quartiles(s Summary) string { return fmt.Sprintf("%.7g [%.7g, %.7g]", s.Median, s.Q1, s.Q3) }

@@ -1,153 +1,209 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const sample = `goos: linux
-goarch: amd64
-pkg: afp
-BenchmarkTable1Size15-8              	       2	 500000000 ns/op	      1024 B/op	      10 allocs/op	        85.00 util%	     12000 lpiters
-BenchmarkTable1Size15Workers1-8      	       2	 600000000 ns/op	        84.00 util%	     11000 lpiters
-BenchmarkTable1Size15Workers4-8      	       2	 300000000 ns/op	        84.50 util%	     13000 lpiters
-BenchmarkTable3BareShortest          	       1	  90000000 ns/op	    123456 finalArea	      789 wirelen
-PASS
-ok  	afp	12.3s
-`
+// runOutput prints one perfbench run the way perfbench does: a stamp line
+// and a result line. An incorrect run reports one failed solve.
+func runOutput(workload string, seed int64, trace, correct bool, metrics map[string]float64) string {
+	var failures []string
+	if !correct {
+		failures = []string{"ami33: nodes 1, pinned 2"}
+	}
+	st, _ := json.Marshal(map[string]any{
+		"workload": workload, "seed": seed, "trace": trace, "seconds": 20,
+		"gomaxprocs": 2, "numcpu": 2, "go": "go1.24.0", "failures": failures,
+	})
+	ms := map[string]any{}
+	for k, v := range metrics {
+		ms[k] = map[string]any{"value": v, "unit": "u"}
+	}
+	res, _ := json.Marshal(map[string]any{"correct": correct, "attempted": 8, "failed": len(failures), "metrics": ms})
+	return fmt.Sprintf("stamp %s\n%s\n", st, res)
+}
 
-func TestParse(t *testing.T) {
-	snap, err := parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Benchmarks) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4", len(snap.Benchmarks))
-	}
-	b := snap.Benchmarks[0]
-	if b.Name != "Table1Size15" || b.Procs != 8 || b.Iterations != 2 {
-		t.Fatalf("first bench = %+v", b)
-	}
-	for unit, want := range map[string]float64{
-		"ns/op": 5e8, "B/op": 1024, "allocs/op": 10, "util%": 85, "lpiters": 12000,
-	} {
-		if got := b.Metrics[unit]; got != want {
-			t.Errorf("metric %q = %v, want %v", unit, got, want)
+// table1Runs prints five correct table1 runs at seeds 1-5; run i reports
+// value i of every metric.
+func table1Runs(metrics map[string][]float64) string {
+	var b strings.Builder
+	for i := 0; i < 5; i++ {
+		m := map[string]float64{}
+		for k, vs := range metrics {
+			m[k] = vs[i]
 		}
+		b.WriteString(runOutput("table1", int64(i+1), false, true, m))
 	}
-	// No -procs suffix is accepted.
-	if b3 := snap.Benchmarks[3]; b3.Name != "Table3BareShortest" || b3.Procs != 0 {
-		t.Fatalf("bench without procs suffix = %+v", b3)
-	}
-	// Workers4 vs Workers1 speedup: 600ms / 300ms = 2x.
-	got, ok := snap.Speedups["Table1Size15Workers4"]
-	if !ok || math.Abs(got-2) > 1e-9 {
-		t.Fatalf("speedup = %v (present %v), want 2", got, ok)
-	}
-	if _, ok := snap.Speedups["Table1Size15"]; ok {
-		t.Error("non-workers bench acquired a speedup entry")
+	return b.String()
+}
+
+func TestSummarize(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want Summary
+	}{
+		{[]float64{5, 1, 3, 2, 4}, Summary{N: 5, Min: 1, Q1: 2, Median: 3, Q3: 4, Max: 5}},
+		{[]float64{4, 3, 2, 1}, Summary{N: 4, Min: 1, Q1: 1.75, Median: 2.5, Q3: 3.25, Max: 4}},
+		{[]float64{7}, Summary{N: 1, Min: 7, Q1: 7, Median: 7, Q3: 7, Max: 7}},
+	} {
+		if got := summarize("", tc.xs); got != tc.want {
+			t.Errorf("summarize(%v) = %+v, want %+v", tc.xs, got, tc.want)
+		}
 	}
 }
 
-func TestParseEmpty(t *testing.T) {
-	if _, err := parse(strings.NewReader("PASS\nok afp 1s\n")); err == nil {
-		t.Fatal("expected error on input without benchmarks")
+func TestAggregate(t *testing.T) {
+	var in strings.Builder
+	for seed := int64(3); seed >= 1; seed-- {
+		in.WriteString(runOutput("table1", seed, false, true, map[string]float64{"solve_ms_p50": float64(100 + seed)}))
+		in.WriteString(runOutput("table1", seed, true, true, map[string]float64{"lp.dual_pivots": 14718.75}))
+	}
+	snap, err := aggregate(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Host{Go: "go1.24.0", GOMAXPROCS: 2, NumCPU: 2, Seconds: 20}); snap.Host != want {
+		t.Errorf("host = %+v, want %+v", snap.Host, want)
+	}
+	if len(snap.Metrics) != 2 || fmt.Sprint(snap.Seeds) != "[3 2 1]" {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if got, want := snap.Metrics["table1 solve_ms_p50"], (Summary{Unit: "u", N: 3, Min: 101, Q1: 101.5, Median: 102, Q3: 102.5, Max: 103}); got != want {
+		t.Errorf("solve_ms_p50 = %+v, want %+v", got, want)
+	}
+	if got := snap.Metrics["table1 lp.dual_pivots"]; got.N != 3 || got.Min != 14718.75 || got.Max != 14718.75 {
+		t.Errorf("lp.dual_pivots = %+v", got)
+	}
+}
+
+func TestAggregateRefuses(t *testing.T) {
+	ok := runOutput("table1", 1, false, true, map[string]float64{"x": 1})
+	stampOnly := strings.SplitAfter(ok, "\n")[0]
+	for _, tc := range []struct{ name, in, want string }{
+		{"incorrect run", ok + runOutput("route", 2, true, false, nil), "route seed 2 trace true is not correct (ami33: nodes 1, pinned 2)"},
+		{"empty", "", "no perfbench runs"},
+		{"blank line", ok + "\n" + ok, "want a perfbench stamp line"},
+		{"result without stamp", strings.TrimPrefix(ok, stampOnly), "want a perfbench stamp line"},
+		{"stamp without result", ok + stampOnly, "table1 seed 1 trace false: no result line"},
+		{"two stamps", stampOnly + ok, "no result line"},
+		{"other host", ok + strings.Replace(ok, `"numcpu":2`, `"numcpu":4`, 1), "host stamp"},
+		{"garbled result", stampOnly + "ok afp 1s\n", "no result line"},
+		{"go test output", "PASS\n", "want a perfbench stamp line"},
+	} {
+		if _, err := aggregate(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestReadBenchmarkJSONBounds(t *testing.T) {
+	var bench benchmarkJSON
+	if err := readJSON(filepath.Join("..", "..", "BENCHMARK.json"), &bench); err != nil {
+		t.Fatal(err)
+	}
+	bounds := map[string]bound{}
+	for _, b := range bench.EndToEnd {
+		bounds[b.Name] = b
+	}
+	if b := bounds["solve_ms_p50"]; b.Better != "lower" || b.Bound <= 0 {
+		t.Errorf("solve_ms_p50 = %+v", b)
+	}
+	if b := bounds["util_pct"]; b.Better != "higher" || b.Bound <= 0 {
+		t.Errorf("util_pct = %+v", b)
 	}
 }
 
 func TestRunDiff(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
+		t.Helper()
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	oldPath := write("BENCH_old.json", `{
-		"date": "2026-08-01",
-		"benchmarks": [
-			{"name": "PresolveOn", "iterations": 1, "metrics": {"ns/op": 200, "nodes": 800, "legacy": 4}},
-			{"name": "Gone", "iterations": 1, "metrics": {"ns/op": 5}}
-		]
-	}`)
-	newPath := write("BENCH_new.json", `{
-		"date": "2026-08-05",
-		"benchmarks": [
-			{"name": "PresolveOn", "iterations": 1, "metrics": {"ns/op": 100, "nodes": 200, "dualpivots": 42}},
-			{"name": "Fresh", "iterations": 1, "metrics": {"ns/op": 7}}
-		]
-	}`)
-	var buf strings.Builder
-	if err := runDiff(&buf, oldPath, newPath, 0); err != nil {
-		t.Fatal(err)
+	snapshot := func(name string, metrics map[string][]float64) string {
+		t.Helper()
+		snap, err := aggregate(strings.NewReader(table1Runs(metrics)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return write(name, string(blob))
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"2026-08-01", "2026-08-05",
-		"-50.0%",   // ns/op 200 -> 100
-		"-75.0%",   // nodes 800 -> 200
-		"added",    // Fresh
-		"removed",  // Gone
-		"new-only", // dualpivots only in the new snapshot
-		"old-only", // legacy only in the old snapshot
+	bounds := []bound{
+		{Name: "solve_ms_p50", Better: "lower", Bound: 0.25},
+		{Name: "util_pct", Better: "higher", Bound: 0.05},
+	}
+	// solve_ms_p50: median 108, IQR 8, bound 27. util_pct: median 78,
+	// IQR 8, bound 3.9. lp.solve_ms has no bound and is only printed.
+	base := map[string][]float64{
+		"lp.dual_pivots": {14718.75, 14718.75, 14718.75, 14718.75, 14718.75},
+		"solve_ms_p50":   {100, 104, 108, 112, 116},
+		"util_pct":       {70, 74, 78, 82, 86},
+		"lp.solve_ms":    {50, 51, 52, 53, 54},
+	}
+	oldPath := snapshot("old.json", base)
+	with := func(metric string, vs ...float64) map[string][]float64 {
+		m := map[string][]float64{}
+		for k, v := range base {
+			m[k] = v
+		}
+		if vs == nil {
+			delete(m, metric)
+		} else {
+			m[metric] = vs
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name    string
+		metrics map[string][]float64
+		fail    string // "" passes
+	}{
+		{"same", base, ""},
+		{"counter one unit up", with("lp.dual_pivots", 14719.75, 14719.75, 14719.75, 14719.75, 14719.75), "table1 lp.dual_pivots: counter moved from 14718.75 to [14719.75, 14719.75]"},
+		{"counter gains spread", with("lp.dual_pivots", 14718.75, 14718.75, 14718.75, 14718.75, 14719.75), "table1 lp.dual_pivots: counter moved from 14718.75 to [14718.75, 14719.75]"},
+		{"counter missing", with("lp.dual_pivots"), "table1 lp.dual_pivots: counter missing"},
+		{"slower inside the bound", with("solve_ms_p50", 120, 124, 128, 132, 136), ""},
+		{"faster beyond the bound", with("solve_ms_p50", 10, 14, 18, 22, 26), ""},
+		{"lower util beyond the bound, inside the IQR", with("util_pct", 64, 68, 72, 76, 80), ""},
+		{"lower util beyond the bound and the IQR", with("util_pct", 60, 64, 68, 72, 76), "table1 util_pct: median worse by 10"},
+		{"slower beyond the bound and the IQR", with("solve_ms_p50", 136, 140, 144, 148, 152), "table1 solve_ms_p50: median worse by 36"},
+		{"unbounded metric doubles", with("lp.solve_ms", 100, 102, 104, 106, 108), ""},
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("diff output missing %q:\n%s", want, out)
+		newPath := snapshot("new.json", tc.metrics)
+		var out strings.Builder
+		err := runDiff(&out, oldPath, newPath, bounds)
+		switch {
+		case tc.fail == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.fail != "" && (err == nil || !strings.Contains(err.Error(), tc.fail)):
+			t.Errorf("%s: err = %v, want it to name %q", tc.name, err, tc.fail)
+		}
+		if !strings.Contains(out.String(), "table1 lp.solve_ms") {
+			t.Errorf("%s: diff does not print the ungated metric:\n%s", tc.name, out.String())
 		}
 	}
-	if err := runDiff(io.Discard, oldPath, filepath.Join(dir, "missing.json"), 0); err == nil {
-		t.Fatal("expected error for a missing snapshot file")
-	}
-}
 
-func TestRunDiffGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+	legacy := write("BENCH_2026-08-08.json", `{"date": "2026-08-08", "go": "go1.24.0", "cpus": 1,
+		"benchmarks": [{"name": "Table1Size15", "iterations": 1, "metrics": {"ns/op": 46683379, "B/op": 2063000}}]}`)
+	for _, paths := range [][2]string{{legacy, oldPath}, {oldPath, legacy}} {
+		if err := runDiff(io.Discard, paths[0], paths[1], bounds); err == nil || !strings.Contains(err.Error(), "not a perfbench snapshot") {
+			t.Errorf("diff %s %s: err = %v, want the pre-perfbench snapshot rejected", paths[0], paths[1], err)
 		}
-		return path
 	}
-	oldPath := write("BENCH_old.json", `{
-		"date": "2026-08-01",
-		"benchmarks": [
-			{"name": "Table1Size15", "iterations": 1, "metrics": {"ns/op": 100, "B/op": 1000}},
-			{"name": "Table1Size20", "iterations": 1, "metrics": {"ns/op": 100, "B/op": 1000}},
-			{"name": "Other", "iterations": 1, "metrics": {"B/op": 10}}
-		]
-	}`)
-	newPath := write("BENCH_new.json", `{
-		"date": "2026-08-05",
-		"benchmarks": [
-			{"name": "Table1Size15", "iterations": 1, "metrics": {"ns/op": 90, "B/op": 1050}},
-			{"name": "Table1Size20", "iterations": 1, "metrics": {"ns/op": 90, "B/op": 1300}},
-			{"name": "Other", "iterations": 1, "metrics": {"B/op": 500}}
-		]
-	}`)
-	// Size20's B/op grew 30% — over a 10% gate; Size15's 5% is within it,
-	// and Other is not a Table1 benchmark so its 50x growth is ignored.
-	err := runDiff(io.Discard, oldPath, newPath, 10)
-	if err == nil {
-		t.Fatal("expected gate failure")
-	}
-	if !strings.Contains(err.Error(), "Table1Size20") || strings.Contains(err.Error(), "Table1Size15") {
-		t.Fatalf("gate error = %v, want Size20 only", err)
-	}
-	if strings.Contains(err.Error(), "Other") {
-		t.Fatalf("gate error includes non-Table1 benchmark: %v", err)
-	}
-	// A generous gate passes.
-	if err := runDiff(io.Discard, oldPath, newPath, 50); err != nil {
-		t.Fatalf("50%% gate failed: %v", err)
-	}
-	// gate 0 disables.
-	if err := runDiff(io.Discard, oldPath, newPath, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
+	if err := runDiff(io.Discard, oldPath, filepath.Join(dir, "missing.json"), bounds); err == nil {
+		t.Error("a missing snapshot file was accepted")
 	}
 }

@@ -72,7 +72,7 @@ type shapePoint struct {
 // non-dominated points. Curves are kept sorted by increasing width
 // (and therefore decreasing height).
 func combine(op int, l, r []shapePoint) []shapePoint {
-	var out []shapePoint
+	out := make([]shapePoint, 0, len(l)*len(r))
 	if op == opV {
 		// Widths add, heights max. For each pair we could emit a point, but
 		// the classic O(|l|+|r|) merge over sorted curves suffices for the
@@ -96,24 +96,24 @@ func combine(op int, l, r []shapePoint) []shapePoint {
 	return pareto(out)
 }
 
-// pareto filters to the non-dominated frontier, sorted by width.
+// pareto filters pts in place to the non-dominated frontier, sorted by
+// width; callers pass a slice of their own.
 func pareto(pts []shapePoint) []shapePoint {
 	if len(pts) <= 1 {
 		return pts
 	}
 	// Sort by width asc, height asc (insertion into a small slice; curves
 	// stay short because of pruning).
-	sorted := append([]shapePoint(nil), pts...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && (sorted[j].w < sorted[j-1].w ||
+	for i := 1; i < len(pts); i++ {
+		for j := i; j > 0 && (pts[j].w < pts[j-1].w ||
 			//vet:allow toleq -- exact lexicographic tie keeps the sort a total order
-			(sorted[j].w == sorted[j-1].w && sorted[j].h < sorted[j-1].h)); j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+			(pts[j].w == pts[j-1].w && pts[j].h < pts[j-1].h)); j-- {
+			pts[j], pts[j-1] = pts[j-1], pts[j]
 		}
 	}
-	out := sorted[:0]
+	out := pts[:0]
 	bestH := math.Inf(1)
-	for _, p := range sorted {
+	for _, p := range pts {
 		if p.h < bestH-1e-12 {
 			out = append(out, p)
 			bestH = p.h

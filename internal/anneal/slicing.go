@@ -137,56 +137,64 @@ func (a *slicing) moveM3(expr []int) bool {
 	return false
 }
 
-// cost evaluates the best (shape cost + lambda*HPWL) over the shape
-// curve of the expression.
+// cost scores the expression's best root shape, plus Lambda times the
+// HPWL of its floorplan; at Lambda 0 no placement is extracted.
 func (a *slicing) cost(expr []int) float64 {
-	res := a.decode(expr)
-	c := a.shapeCost(res.ChipWidth, res.Height)
+	nodes, root, k := a.eval(expr)
+	p := nodes[root].curve[k]
+	c := a.shapeCost(p.w, p.h)
 	if a.cfg.Lambda > 0 {
-		c += a.cfg.Lambda * res.HPWL()
+		c += a.cfg.Lambda * a.extract(nodes, root, k).HPWL()
 	}
 	return c
 }
 
-// decode evaluates the expression's shape curve, picks the best final
-// shape and extracts module rectangles.
+// decode extracts the floorplan of the expression's best root shape.
 func (a *slicing) decode(expr []int) *core.Result {
-	type nodeCurve struct {
-		curve []shapePoint
-		op    int
-		l, r  int // node indices in the eval forest (-1 leaf)
-		leaf  int // module index for leaves
-	}
-	var nodes []nodeCurve
-	var stack []int
+	return a.extract(a.eval(expr))
+}
+
+// evalNode is one node of an expression's evaluation forest.
+type evalNode struct {
+	curve []shapePoint
+	op    int
+	l, r  int // node indices in the forest (-1 for a leaf)
+	leaf  int // module index of a leaf
+}
+
+// eval evaluates the expression's shape curves bottom up. It returns the
+// forest, the root's index and the root point of least shape cost.
+func (a *slicing) eval(expr []int) (nodes []evalNode, root, best int) {
+	nodes = make([]evalNode, 0, len(expr))
+	stack := make([]int, 0, len(expr))
 	for _, t := range expr {
 		if !isOperator(t) {
-			nodes = append(nodes, nodeCurve{curve: a.leaves[t], l: -1, r: -1, leaf: t})
+			nodes = append(nodes, evalNode{curve: a.leaves[t], l: -1, r: -1, leaf: t})
 			stack = append(stack, len(nodes)-1)
 			continue
 		}
 		rIdx := stack[len(stack)-1]
 		lIdx := stack[len(stack)-2]
 		stack = stack[:len(stack)-2]
-		nodes = append(nodes, nodeCurve{
+		nodes = append(nodes, evalNode{
 			curve: combine(t, nodes[lIdx].curve, nodes[rIdx].curve),
 			op:    t, l: lIdx, r: rIdx,
 		})
 		stack = append(stack, len(nodes)-1)
 	}
-	root := stack[0]
-
-	// Choose the best point of the root curve.
-	bestK, bestC := 0, math.Inf(1)
+	root = stack[0]
+	bestC := math.Inf(1)
 	for k, p := range nodes[root].curve {
-		c := a.shapeCost(p.w, p.h)
-		if c < bestC {
-			bestK, bestC = k, c
+		if c := a.shapeCost(p.w, p.h); c < bestC {
+			best, bestC = k, c
 		}
 	}
+	return nodes, root, best
+}
 
-	res := &core.Result{Design: a.d, Source: "anneal"}
-	// Recursive extraction of rectangles.
+// extract places the modules of root point k of an evaluated forest.
+func (a *slicing) extract(nodes []evalNode, root, k int) *core.Result {
+	res := &core.Result{Design: a.d, Source: "anneal", Placements: make([]core.Placement, 0, len(a.d.Modules))}
 	var place func(ni, k int, x, y float64)
 	place = func(ni, k int, x, y float64) {
 		nd := &nodes[ni]
@@ -207,8 +215,8 @@ func (a *slicing) decode(expr []int) *core.Result {
 			place(nd.r, p.ri, x, y+lp.h)
 		}
 	}
-	rootPt := nodes[root].curve[bestK]
-	place(root, bestK, 0, 0)
+	rootPt := nodes[root].curve[k]
+	place(root, k, 0, 0)
 	res.ChipWidth = rootPt.w
 	res.Height = rootPt.h
 	return res

@@ -19,9 +19,8 @@ type Incumbent struct {
 	Height float64
 	// At is the offset from the race start at which it was published.
 	At time.Duration
-	// Bound is the board's proven lower bound at publish time. Because
-	// PublishBound only ever raises the bound, this column is
-	// monotonically non-decreasing down the history.
+	// Bound is the board's proven lower bound: the area bound NewBoard
+	// sets, the one bound sound for every paradigm.
 	Bound float64
 }
 
@@ -38,6 +37,7 @@ type Incumbent struct {
 type Board struct {
 	design *netlist.Design
 	width  float64
+	bound  float64 // the area bound; fixed by NewBoard
 	obs    *obs.Observer
 	start  time.Time
 
@@ -46,8 +46,6 @@ type Board struct {
 	bestSrc  string                  // guarded by mu
 	haveBest bool                    // guarded by mu
 	firstAt  time.Duration           // guarded by mu
-	bound    float64                 // guarded by mu
-	boundSrc string                  // guarded by mu
 	history  []Incumbent             // guarded by mu
 	rejected int                     // guarded by mu
 	stats    map[string]*sourceStats // guarded by mu
@@ -62,7 +60,7 @@ type sourceStats struct {
 }
 
 // NewBoard creates an incumbent board for racing backends on design d at
-// fixed chip width. The proven lower bound is seeded with the area bound
+// fixed chip width. The proven lower bound is the area bound
 // max(TotalArea/width, tallest minimum module height) — the only bound
 // that is sound for every solution paradigm, since the MILP's secant
 // linearization overestimates flexible heights and therefore cannot
@@ -92,7 +90,7 @@ func NewBoard(d *netlist.Design, width float64, o *obs.Observer) *Board {
 			lb = hmin
 		}
 	}
-	b.bound, b.boundSrc = lb, "area"
+	b.bound = lb
 	return b
 }
 
@@ -182,26 +180,8 @@ func (b *Board) Best() (height float64, source string, ok bool) {
 	return b.best.Height, "portfolio:" + b.bestSrc, true
 }
 
-// PublishBound raises the proven lower bound on the achievable chip
-// height. The board keeps the maximum of everything published, so the
-// bound trajectory recorded in the incumbent history is monotonically
-// non-decreasing by construction. Callers are responsible for soundness:
-// only bounds valid for every solution paradigm (such as the area bound)
-// belong here.
-func (b *Board) PublishBound(source string, bound float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if bound > b.bound {
-		b.bound, b.boundSrc = bound, source
-	}
-}
-
-// Bound returns the proven lower bound and the source that set it.
-func (b *Board) Bound() (float64, string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bound, b.boundSrc
-}
+// Bound returns the proven lower bound and its source, "area".
+func (b *Board) Bound() (float64, string) { return b.bound, "area" }
 
 // Snapshot returns a copy of the best verified floorplan and its source.
 func (b *Board) Snapshot() (*core.Result, string, bool) {

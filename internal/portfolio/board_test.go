@@ -105,9 +105,9 @@ func TestBoardRejectsIncompleteAndTooWide(t *testing.T) {
 	}
 }
 
-// Bounds only tighten, and a non-improving publish leaves the history
-// alone, so incumbent heights are strictly decreasing and their bound
-// snapshots monotonically non-decreasing.
+// The bound is the area bound, and a non-improving publish leaves the
+// history alone, so incumbent heights are strictly decreasing and their
+// bound snapshots monotonically non-decreasing.
 func TestBoardBoundMonotoneAndHistoryDecreasing(t *testing.T) {
 	d := boardDesign()
 	b := NewBoard(d, 4, nil)
@@ -115,14 +115,6 @@ func TestBoardBoundMonotoneAndHistoryDecreasing(t *testing.T) {
 	// Area bound: 24/4 = 6; tallest min module side = 2.
 	if math.Abs(lb-6) > 1e-9 || src != "area" {
 		t.Fatalf("seed bound = %v (%s), want 6 (area)", lb, src)
-	}
-	b.PublishBound("milp", 5) // looser: must not regress
-	if got, _ := b.Bound(); math.Abs(got-6) > 1e-9 {
-		t.Fatalf("bound regressed to %v", got)
-	}
-	b.PublishBound("milp", 6.5)
-	if got, src := b.Bound(); math.Abs(got-6.5) > 1e-9 || src != "milp" {
-		t.Fatalf("bound = %v (%s), want 6.5 (milp)", got, src)
 	}
 
 	first := legalStack(d)

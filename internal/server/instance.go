@@ -42,9 +42,9 @@ type SolveOptions struct {
 	// paper's successive augmentation, "portfolio" to race every paradigm
 	// with a shared incumbent board, or one contestant ("anneal",
 	// "seqpair", "project") run as a race of one. Every paradigm solves
-	// at the job's chip width under its objective. Unlike TimeoutMS and
-	// Workers, the backend changes which floorplan comes back, so it is
-	// part of the cache key.
+	// at the job's chip width under its objective. Unlike TimeoutMS, the
+	// backend changes which floorplan comes back, so it is part of the
+	// cache key.
 	Backend string `json:"backend,omitempty"`
 	// ChipWidth fixes the chip width; 0 selects it from the module area.
 	ChipWidth float64 `json:"chipWidth,omitempty"`
@@ -69,16 +69,10 @@ type SolveOptions struct {
 	// subproblems. 0 (the default) means serial: the pool already runs
 	// jobs concurrently, so jobs don't claim extra cores unless asked.
 	// The server caps the value so pool×workers never oversubscribes the
-	// host. Like the deadline, Workers is an execution knob, not part of
-	// the problem, and is excluded from the cache key — any worker count
-	// proves the same optimum.
+	// host, and keys the cache on the capped count: with more than one
+	// worker the search, and so the floorplan, can differ, so requests
+	// share a cached result only when they run with the same count.
 	Workers int `json:"workers,omitempty"`
-	// NoPresolve disables the model presolve (tightened big-M coefficients,
-	// forced-binary fixing, bound propagation) for this job. Presolve never
-	// changes the optimum — it only prunes the search — so, like TimeoutMS
-	// and Workers, the knob is an execution detail excluded from the cache
-	// key.
-	NoPresolve bool `json:"noPresolve,omitempty"`
 }
 
 // DesignSpec is the inline JSON form of a netlist.Design.
@@ -216,8 +210,8 @@ func (s *DesignSpec) toDesign() (*netlist.Design, error) {
 }
 
 // canonicalInstance is the hashed form. Every field that changes the
-// solve outcome appears here; the deadline and the worker count do not
-// (see SolveOptions.TimeoutMS and SolveOptions.Workers).
+// solve outcome appears here; the deadline does not (see
+// SolveOptions.TimeoutMS).
 type canonicalInstance struct {
 	Modules []netlist.Module
 	Nets    []canonicalNet
@@ -228,6 +222,7 @@ type canonicalInstance struct {
 	Lambda  float64
 	Post    bool
 	Seed    int64
+	Workers int
 }
 
 type canonicalNet struct {
@@ -250,6 +245,7 @@ func (in *Instance) Key() string {
 		Lambda:  in.Opts.WireWeight,
 		Post:    in.Opts.PostOptimize,
 		Seed:    in.Opts.AnnealSeed,
+		Workers: in.Opts.Workers,
 	}
 	// Strip names so that renamings hash equal.
 	c.Modules = append([]netlist.Module(nil), c.Modules...)
@@ -295,7 +291,7 @@ func (in *Instance) coreConfig() core.Config {
 		GroupSize:    in.Opts.GroupSize,
 		WireWeight:   in.Opts.WireWeight,
 		PostOptimize: in.Opts.PostOptimize,
-		NoPresolve:   in.Opts.NoPresolve,
+		Workers:      in.Opts.Workers,
 	}
 	if in.Opts.Objective == "areawire" {
 		cfg.Objective = mipmodel.AreaWire

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"runtime"
 	"sync"
@@ -9,23 +10,46 @@ import (
 	"time"
 )
 
-func TestWorkersExcludedFromCacheKey(t *testing.T) {
-	// Workers is an execution knob like the deadline: any worker count
-	// proves the same optimum, so it must not fragment the cache.
-	a, err := Resolve(&SolveRequest{Generate: "rand", N: 6, Seed: 1})
+// The cache is keyed on the worker count a job runs with: more than one
+// branch-and-bound worker can change the floorplan, so two effective
+// counts never share a result, while requests for 0 (serial) and 1 do.
+// A request with the removed noPresolve option is refused.
+func TestCacheKeyUsesEffectiveWorkers(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1})
+	req := func(workers int) *SolveRequest {
+		return &SolveRequest{Generate: "rand", N: 6, Seed: 1, Options: SolveOptions{Workers: workers, TimeoutMS: 30000}}
+	}
+	serial := ts.submit(t, req(0), http.StatusAccepted)
+	if v := ts.await(t, serial.ID, 30*time.Second); v.State != StateDone {
+		t.Fatalf("serial job state = %s (%s)", v.State, v.Error)
+	}
+	if one := ts.submit(t, req(1), http.StatusOK); !one.Cached || one.Key != serial.Key {
+		t.Fatalf("workers 1 after workers 0: %+v, want a cache hit on key %s", one, serial.Key)
+	}
+	if ts.jobWorkers(2) == 2 {
+		if two := ts.submit(t, req(2), http.StatusAccepted); two.Key == serial.Key {
+			t.Fatal("workers 2 shares the serial job's cache key")
+		}
+	}
+
+	// Whatever the host's CPU count, two effective counts key apart.
+	in1, err := Resolve(req(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Resolve(&SolveRequest{Generate: "rand", N: 6, Seed: 1, Options: SolveOptions{Workers: 4, TimeoutMS: 500}})
+	in2, err := Resolve(req(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Key() != b.Key() {
-		t.Fatalf("workers/deadline changed the cache key: %s vs %s", a.Key(), b.Key())
+	if in1.Key() == in2.Key() {
+		t.Fatal("worker counts 1 and 2 share a cache key")
 	}
-	if _, err := Resolve(&SolveRequest{Generate: "rand", N: 6, Seed: 1, Options: SolveOptions{Workers: -1}}); err == nil {
+
+	if _, err := Resolve(req(-1)); err == nil {
 		t.Fatal("negative workers accepted")
 	}
+	ts.do(t, "POST", "/v1/solve", json.RawMessage(`{"generate":"rand","n":6,"seed":1,"options":{"noPresolve":true}}`),
+		http.StatusBadRequest, nil)
 }
 
 func TestJobWorkersCap(t *testing.T) {

@@ -182,6 +182,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Key and run the job at the worker count it actually gets.
+	in.Opts.Workers = s.jobWorkers(in.Opts.Workers)
 	// Static model audit before any solver time is spent: a request that
 	// is well-formed JSON but yields a malformed MILP (a module wider than
 	// the chip, a formulation invariant broken) is rejected here, not

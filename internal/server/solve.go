@@ -111,7 +111,7 @@ func (s *Server) runJob(j *Job) {
 	var res *core.Result
 	var err error
 	o.Do(ctx, "job", obs.SpanAttrs{Detail: j.Instance.Design.Name}, func(ctx context.Context) {
-		res, err = solveInstance(ctx, j.Instance, s.jobWorkers(j.Instance.Opts.Workers), o)
+		res, err = solveInstance(ctx, j.Instance, o)
 	})
 	dur := time.Since(start)
 	s.metrics.Time("solve", dur)
@@ -179,11 +179,9 @@ func (s *Server) jobWorkers(requested int) int {
 
 // solveInstance dispatches to the selected backend: the paper's MILP
 // directly, every other paradigm through a portfolio race (of one, for
-// a single contestant). workers is the already-capped branch-and-bound
-// worker count (>= 1).
-func solveInstance(ctx context.Context, in *Instance, workers int, o *obs.Observer) (*core.Result, error) {
+// a single contestant). in.Opts.Workers is the capped worker count.
+func solveInstance(ctx context.Context, in *Instance, o *obs.Observer) (*core.Result, error) {
 	cfg := in.coreConfig()
-	cfg.Workers = workers
 	cfg.Obs = o
 	// Service solves stream progress over SSE: probe the gap often enough
 	// that watchers see bound convergence within a node batch.
