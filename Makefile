@@ -58,11 +58,11 @@ cover:
 # packages run at GOMAXPROCS 1 and 2, so the default worker count
 # (one per CPU) takes the multi-worker search even on a 1-CPU runner.
 # The per-job trace log is appended by solver goroutines while SSE
-# followers and trace fetches decode snapshots of it, so its codec and
-# trace-buffer tests run ten times over.
+# followers decode Since views of it and trace fetches decode snapshots,
+# so its codec, trace-buffer and SSE follower tests run ten times over.
 race:
 	$(GO) test -race ./internal/obs ./internal/lp ./internal/server
-	$(GO) test -race -count=10 -run 'EventLog|TraceBuffer' ./internal/obs ./internal/server
+	$(GO) test -race -count=10 -run 'EventLog|TraceBuffer|SSE' ./internal/obs ./internal/server
 	$(GO) test -race -cpu 1,2 ./internal/milp ./internal/mipmodel ./internal/core ./internal/portfolio
 
 # generate-check fails when internal/obs/schema.go is stale: it

@@ -45,36 +45,25 @@ func run() error {
 		queue    = flag.Int("queue", 64, "queued-job limit (full queue rejects with 429)")
 		cache    = flag.Int("cache", 128, "result-cache capacity (-1 disables)")
 		maxJobs  = flag.Int("maxjobs", 1024, "retained job history")
-		traceCap = flag.Int("traceevents", 10000, "per-job telemetry events retained")
+		traceCap = flag.Int("traceevents", 10000, "per-job cap on retained per-node telemetry events (node.*, lp.solve); other events are kept up to twice this")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown grace period for running solves")
-		traceOut = flag.String("trace", "", "mirror all job telemetry to this JSONL file")
 		verbose  = flag.Bool("verbose", false, "log solver telemetry to stderr")
 		sseHB    = flag.Duration("sse-heartbeat", 15*time.Second, "comment-frame interval keeping idle /v1/jobs/{id}/events streams alive")
 	)
 	flag.Parse()
 
-	var sinks []obs.Sink
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sinks = append(sinks, obs.NewJSONLWriter(f))
-	}
-	if *verbose {
-		sinks = append(sinks, obs.NewLogSink(os.Stderr))
-	}
-
-	svc := server.New(server.Config{
+	cfg := server.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheSize:    *cache,
 		MaxJobs:      *maxJobs,
 		TraceEvents:  *traceCap,
-		Sink:         obs.Multi(sinks...),
 		SSEHeartbeat: *sseHB,
-	})
+	}
+	if *verbose {
+		cfg.Sink = obs.NewLogSink(os.Stderr)
+	}
+	svc := server.New(cfg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

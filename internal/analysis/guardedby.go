@@ -21,7 +21,7 @@ import (
 //	                                        access v.x requires v.mu held
 //	                                        (expression-precise — holding
 //	                                        other.mu never covers v.x)
-//	lost int // guarded by server.traceBuffer.mu
+//	val *V // guarded by server.resultCache.mu
 //	                                        external form: the guard is
 //	                                        another type's lock, matched
 //	                                        by canonical identity

@@ -102,23 +102,40 @@ func (l *EventLog) str(s string) uint64 {
 	return i
 }
 
-// EventLogSnapshot is a point-in-time view of an EventLog.
+// EventLogSnapshot is a point-in-time view of an EventLog: all its
+// events up to the snapshot, or, for a view made by Since, those after
+// an earlier snapshot.
 type EventLogSnapshot struct {
-	blocks [][]byte
+	blocks [][]byte // every block of the log, from its first
 	tail   int
 	strs   []string
 	n      int
+	// from events precede the view; the first of its records starts
+	// at byte off of blocks[block].
+	from, block, off int
 }
 
 // Len reports the number of events in the snapshot.
-func (s EventLogSnapshot) Len() int { return s.n }
+func (s EventLogSnapshot) Len() int { return s.n - s.from }
+
+// Since returns the view of the events in s that follow prev, an
+// earlier snapshot or view of the same log: a reader that keeps its
+// last snapshot decodes each event once. The zero prev gives all of s.
+func (s EventLogSnapshot) Since(prev EventLogSnapshot) EventLogSnapshot {
+	s.from = prev.n
+	s.block, s.off = 0, 0
+	if k := len(prev.blocks); k > 0 {
+		s.block, s.off = k-1, prev.tail
+	}
+	return s
+}
 
 // Each decodes the snapshot's events in append order and calls fn on
 // each. The records were written by Append alone, so one that fails to
 // decode is a bug in the codec, and Each panics on it.
 func (s EventLogSnapshot) Each(fn func(Event)) {
-	dec := recordDecoder{r: blockReader{blocks: s.blocks, tail: s.tail}, strs: s.strs}
-	for i := 0; i < s.n; i++ {
+	dec := recordDecoder{r: blockReader{blocks: s.blocks[s.block:], head: s.off, tail: s.tail}, strs: s.strs}
+	for i := s.from; i < s.n; i++ {
 		var e Event
 		dec.mask, dec.bit = dec.r.uvarint(), 0
 		dec.fields(&e)
@@ -323,6 +340,7 @@ func (d *recordDecoder) str() string {
 // blockReader reads a snapshot's bytes across its blocks.
 type blockReader struct {
 	blocks [][]byte
+	head   int // bytes of the first block that precede the snapshot
 	tail   int // bytes of the last block that belong to the snapshot
 	cur    []byte
 }
@@ -337,6 +355,7 @@ func (r *blockReader) ReadByte() (byte, error) {
 		if len(r.blocks) == 1 {
 			r.cur = r.cur[:r.tail]
 		}
+		r.cur, r.head = r.cur[r.head:], 0
 		r.blocks = r.blocks[1:]
 	}
 	c := r.cur[0]

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -165,6 +167,113 @@ func TestEventLogSnapshotIsStable(t *testing.T) {
 		})
 		if i != s.Len() {
 			t.Fatalf("snapshot of %d decoded %d events", s.Len(), i)
+		}
+	}
+}
+
+// TestEventLogSince takes snapshots at random points, on a block
+// boundary with a full last block, and twice at the same point, and
+// checks that the views Since makes between consecutive snapshots,
+// from the zero snapshot on, decode to the whole log in order.
+func TestEventLogSince(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var l EventLog
+	var in []Event
+	app := func(e Event) {
+		in = append(in, e)
+		l.Append(&e)
+	}
+	snaps := []EventLogSnapshot{{}}
+	for i := 0; i < 5000; i++ {
+		app(randomEvent(rng))
+		switch {
+		case i == 0 || i == 30:
+			// An empty event is a one-byte record: pad the last block
+			// to its end, snapshot the full block, and start the next.
+			for l.tail < len(l.blocks[len(l.blocks)-1]) {
+				app(Event{})
+			}
+			snaps = append(snaps, l.Snapshot())
+			app(randomEvent(rng))
+			snaps = append(snaps, l.Snapshot())
+		case rng.Intn(50) == 0:
+			snaps = append(snaps, l.Snapshot())
+		case rng.Intn(50) == 0:
+			snaps = append(snaps, l.Snapshot(), l.Snapshot())
+		}
+	}
+	snaps = append(snaps, l.Snapshot())
+
+	var got []Event
+	for i := 1; i < len(snaps); i++ {
+		v := snaps[i].Since(snaps[i-1])
+		k := 0
+		v.Each(func(e Event) { got = append(got, e); k++ })
+		if k != v.Len() || k != snaps[i].Len()-snaps[i-1].Len() {
+			t.Fatalf("view %d decoded %d events, Len %d, want %d", i, k, v.Len(), snaps[i].Len()-snaps[i-1].Len())
+		}
+	}
+	var all []Event
+	l.Snapshot().Each(func(e Event) { all = append(all, e) })
+	if len(got) != len(all) || len(all) != len(in) {
+		t.Fatalf("views decoded %d events, Each %d, appended %d", len(got), len(all), len(in))
+	}
+	for i := range all {
+		if f, ok := sameEvent(all[i], got[i]); !ok {
+			t.Fatalf("event %d: field %s differs between the views and Each", i, f)
+		}
+		if f, ok := sameEvent(in[i], all[i]); !ok {
+			t.Fatalf("event %d: field %s differs from the appended event", i, f)
+		}
+	}
+}
+
+// TestEventLogSinceConcurrent has one goroutine append while readers
+// snapshot under the same lock and decode Since views after releasing
+// it, as the server's SSE followers do; run it under -race.
+func TestEventLogSinceConcurrent(t *testing.T) {
+	const total, readers = 3000, 4
+	rng := rand.New(rand.NewSource(4))
+	in := make([]Event, total)
+	for i := range in {
+		in[i] = randomEvent(rng)
+	}
+	var mu sync.Mutex
+	var l EventLog
+	got := make([][]Event, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var prev EventLogSnapshot
+			for prev.Len() < total {
+				mu.Lock()
+				s := l.Snapshot()
+				mu.Unlock()
+				s.Since(prev).Each(func(e Event) { got[r] = append(got[r], e) })
+				prev = s
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	for i := range in {
+		mu.Lock()
+		l.Append(&in[i])
+		mu.Unlock()
+		if i%16 == 0 {
+			runtime.Gosched() // let the readers snapshot mid-stream
+		}
+	}
+	wg.Wait()
+	for r, evs := range got {
+		if len(evs) != total {
+			t.Fatalf("reader %d decoded %d events, want %d", r, len(evs), total)
+		}
+		for i := range evs {
+			if f, ok := sameEvent(in[i], evs[i]); !ok {
+				t.Fatalf("reader %d: event %d field %s differs", r, i, f)
+			}
 		}
 	}
 }

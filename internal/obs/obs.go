@@ -94,6 +94,19 @@ const (
 	KindPortfolioWin Kind = "portfolio.win"
 )
 
+// PerNode reports whether k is one of the branch-and-bound firehose
+// kinds emitted for every node or node LP: node.open, node.close,
+// node.prune and lp.solve. They are about 99% of a solve's events. A
+// server trace caps them first, its live stream and LogSink leave
+// them out, and the full trace keeps them.
+func (k Kind) PerNode() bool {
+	switch k {
+	case KindNodeOpen, KindNodeClose, KindNodePrune, KindLPSolve:
+		return true
+	}
+	return false
+}
+
 // Event is one structured telemetry record. The struct is flat and
 // kind-discriminated: each Kind populates the subset of fields that
 // apply to it and leaves the rest at their zero values, which the JSONL
@@ -388,14 +401,11 @@ func (r *Recorder) LastKind(k Kind) (Event, bool) {
 }
 
 // LogSink is a Sink printing human-readable one-liners, used by the
-// CLIs' -verbose flags. By default the per-node and per-LP-solve firehose
-// is suppressed and only search- and step-level events are shown; set
-// All for everything.
+// CLIs' -verbose flags. It shows search- and step-level events only:
+// per-node events (Kind.PerNode) and span events are left to traces.
 type LogSink struct {
 	mu sync.Mutex
 	w  io.Writer
-	// All disables the default suppression of node.* and lp.solve events.
-	All bool
 }
 
 // NewLogSink returns a log sink over w (typically os.Stderr).
@@ -403,12 +413,8 @@ func NewLogSink(w io.Writer) *LogSink { return &LogSink{w: w} }
 
 // Emit formats one event.
 func (s *LogSink) Emit(e Event) {
-	if !s.All {
-		switch e.Kind {
-		case KindNodeOpen, KindNodeClose, KindNodePrune, KindLPSolve,
-			KindSpanStart, KindSpanEnd:
-			return
-		}
+	if e.Kind.PerNode() || e.Kind == KindSpanStart || e.Kind == KindSpanEnd {
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -69,9 +69,6 @@ type BackendResult struct {
 	// Nodes sums branch-and-bound nodes across augmentation steps (exact
 	// backend only).
 	Nodes int
-	// Bound is the backend's own proven objective bound, when it proved
-	// one (the exact backend's optimal height).
-	Bound float64
 	// Wall is the contestant's wall time until return.
 	Wall time.Duration
 	// Err carries the terminal error text for Outcome "error".
@@ -172,9 +169,6 @@ func race(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options,
 			switch {
 			case err == nil && b.exact():
 				br.Outcome = "optimal"
-				if res != nil {
-					br.Bound = res.Height
-				}
 			case errors.Is(err, core.ErrDominated):
 				br.Outcome = "dominated"
 			case err == nil:

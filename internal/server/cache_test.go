@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"afp/internal/obs"
 )
 
 func TestResultCacheLRUEviction(t *testing.T) {
@@ -69,29 +67,5 @@ func TestResultCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.len() > 8 {
 		t.Fatalf("len = %d exceeds capacity", c.len())
-	}
-}
-
-func TestTraceBufferCapsAndMarksTruncation(t *testing.T) {
-	b := newTraceBuffer(3)
-	for i := 0; i < 10; i++ {
-		b.Emit(obs.Event{Kind: obs.KindLPSolve, Iters: i})
-	}
-	if b.Len() != 3 {
-		t.Fatalf("retained %d events, want 3", b.Len())
-	}
-	objs, err := b.lines()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 4 { // 3 events + truncation marker
-		t.Fatalf("wrote %d lines, want 4", len(objs))
-	}
-	last := objs[3]
-	if last["kind"] != string(kindTruncated) {
-		t.Fatalf("last line = %v", last)
-	}
-	if last["nodes"] != float64(7) {
-		t.Fatalf("dropped count = %v, want 7", last["nodes"])
 	}
 }

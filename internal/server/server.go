@@ -25,10 +25,14 @@ type Config struct {
 	CacheSize int
 	// MaxJobs bounds retained job history; 0 means 1024.
 	MaxJobs int
-	// TraceEvents caps the per-job telemetry buffer; 0 means 10000.
+	// TraceEvents caps the per-node events (obs.Kind.PerNode) of a
+	// job's trace: past it they are dropped, while other events are kept
+	// until the trace holds twice as many. 0 means 10000.
 	TraceEvents int
-	// Sink optionally mirrors every job's telemetry to a shared sink
-	// (e.g. a server-wide JSONL trace or stderr log).
+	// Sink optionally receives every job's telemetry as well, such as
+	// floorpland's -verbose stderr log. Events carry no job id, so
+	// interleaved jobs cannot be told apart there; a job's own trace is
+	// GET /v1/jobs/{id}/trace.
 	Sink obs.Sink
 	// SSEHeartbeat is the comment-frame interval keeping idle
 	// /v1/jobs/{id}/events streams alive; 0 means 15s.
@@ -84,12 +88,10 @@ func New(cfg Config) *Server {
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.runJob)
 	s.metrics.SetGauge("pool_workers", float64(cfg.Workers))
-	// The trust counters (see obs.MetricsSink) and the count of live
-	// events SSE followers lost to back-pressure exist from the start, so
+	// The trust counters (see obs.MetricsSink) exist from the start, so
 	// scrapers see a zero rather than a missing series.
 	s.metrics.Count("lp_iterlimit", 0)
 	s.metrics.Count("steps_limit", 0)
-	s.metrics.Count("sse_lost_events", 0)
 	return s
 }
 

@@ -105,8 +105,9 @@ func (s *Server) runJob(j *Job) {
 	s.metrics.Observe("queue_wait_us", float64(startedAt.Sub(j.created).Microseconds()))
 
 	start := time.Now()
-	// The job's fan-out: the per-job trace buffer (replayed over SSE), the
-	// server-wide sink, and the histogram deriver feeding /metrics.
+	// The job's fan-out: the per-job trace buffer (read by /trace and the
+	// SSE stream), the server-wide sink, and the histogram deriver
+	// feeding /metrics.
 	o := obs.New(obs.Multi(j.trace, s.sink, obs.MetricsSink{M: s.metrics}))
 	var res *core.Result
 	var err error

@@ -10,17 +10,18 @@ import (
 )
 
 // handleEvents serves GET /v1/jobs/{id}/events: the job's telemetry as
-// a Server-Sent Events stream. The stream replays every retained trace
-// event and then follows the live feed, so a client attaching at any
-// point sees each event exactly once; comment heartbeats keep idle
-// connections alive through proxies. The stream closes with a terminal
-// `event: job` frame carrying the job snapshot once the job reaches a
-// terminal state (done, failed or cancelled), or silently when the
-// client disconnects. Each trace frame's data is the same JSON object a
-// JSONL trace line carries, so SSE consumers and trace files share one
-// decoder. Live events a slow follower loses to back-pressure are added
-// to the sse_lost_events counter when its stream ends, and a stream that
-// reaches the terminal frame also reports them in a comment.
+// a Server-Sent Events stream. The stream carries the job's trace (see
+// handleTrace) without its per-node events (obs.Kind.PerNode), in
+// order, from the first event on whenever the client attaches, and it
+// loses none of them: the follower reads the trace buffer's log, and a
+// slow one falls behind there without holding up the solver. Comment
+// heartbeats keep idle connections alive through proxies. Once the job
+// is terminal (done, failed or cancelled) the stream writes the rest of
+// the trace, a trace.truncated frame if the trace dropped events, and a
+// terminal `event: job` frame carrying the job snapshot; it closes
+// silently when the client disconnects. Each trace frame's data is the
+// same JSON object a JSONL trace line carries, so SSE consumers and
+// trace files share one decoder.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
@@ -32,14 +33,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported")
 		return
 	}
-	replay, sub, ok := j.trace.subscribe(0)
-	if !ok {
+	if !j.trace.follow() {
 		httpError(w, http.StatusTooManyRequests, "too many followers for job %s", j.ID)
 		return
 	}
-	// unsubscribe repeats its count, so this deferred call counts the
-	// follower's losses once whichever way the stream ends.
-	defer func() { s.metrics.Count("sse_lost_events", j.trace.unsubscribe(sub)) }()
+	defer j.trace.unfollow()
 	s.metrics.Count("sse_streams", 1)
 	s.metrics.GaugeAdd("sse_clients", 1)
 	defer s.metrics.GaugeAdd("sse_clients", -1)
@@ -49,12 +47,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	// Write failures mean the client is gone; r.Context() observes the
-	// disconnect on the next select turn, so frame errors are not fatal
-	// here and the deferred unsubscribe cleans up either way.
-	replay.Each(func(e obs.Event) { writeSSEEvent(w, e) })
-	fl.Flush()
-
 	hb := s.cfg.SSEHeartbeat
 	if hb <= 0 {
 		hb = 15 * time.Second
@@ -62,44 +54,39 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(hb)
 	defer ticker.Stop()
 
+	// Write failures mean the client is gone; r.Context() observes the
+	// disconnect on the next select turn, so frame errors are not fatal.
+	var prev obs.EventLogSnapshot
 	for {
+		// The solver emits its last event before the job turns terminal,
+		// so a snapshot taken after that holds the whole trace.
+		var terminal bool
 		select {
-		case e := <-sub.ch:
-			writeSSEEvent(w, e)
-			// Batch whatever else is already queued into one flush.
-			for {
-				select {
-				case e := <-sub.ch:
-					writeSSEEvent(w, e)
-					continue
-				default:
-				}
-				break
-			}
-			fl.Flush()
-		case <-ticker.C:
-			fmt.Fprint(w, ": hb\n\n")
-			fl.Flush()
 		case <-j.Done():
-			// The solver emitted its last event before the job turned
-			// terminal, so after detaching the subscription the channel
-			// drains to a complete stream.
-			lost := j.trace.unsubscribe(sub)
-			for {
-				select {
-				case e := <-sub.ch:
-					writeSSEEvent(w, e)
-					continue
-				default:
-				}
-				break
+			terminal = true
+		default:
+		}
+		snap, dropped, wake := j.trace.next()
+		snap.Since(prev).Each(func(e obs.Event) {
+			if !e.Kind.PerNode() {
+				writeSSEEvent(w, e)
 			}
-			if lost > 0 {
-				fmt.Fprintf(w, ": lost %d events to back-pressure\n\n", lost)
+		})
+		prev = snap
+		if terminal {
+			if dropped > 0 {
+				writeSSEEvent(w, obs.Event{Kind: kindTruncated, Nodes: int(dropped)})
 			}
 			writeSSETerminal(w, j)
 			fl.Flush()
 			return
+		}
+		fl.Flush()
+		select {
+		case <-wake:
+		case <-ticker.C:
+			fmt.Fprint(w, ": hb\n\n")
+		case <-j.Done():
 		case <-r.Context().Done():
 			return
 		}

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -24,7 +26,7 @@ func makeIdleJob(t *testing.T, s *Server) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob(s.store.newID(), in, "test-key", 0)
+	j := newJob(s.store.newID(), in, "test-key", s.cfg.TraceEvents)
 	if !j.tryStart(func() {}) {
 		t.Fatal("tryStart failed")
 	}
@@ -61,9 +63,12 @@ func TestSSEReplayThenFollowAndTerminalFrame(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1, SSEHeartbeat: time.Hour})
 	j := makeIdleJob(t, ts.Server)
 
-	// Events emitted before the client attaches must be replayed.
+	// Events emitted before the client attaches are replayed, without
+	// the per-node ones.
+	j.trace.Emit(obs.Event{Kind: obs.KindStepStart, Step: 1})
 	j.trace.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: 1})
-	j.trace.Emit(obs.Event{Kind: obs.KindNodeClose, Node: 1, Depth: 1})
+	j.trace.Emit(obs.Event{Kind: obs.KindLPSolve, Iters: 3})
+	j.trace.Emit(obs.Event{Kind: obs.KindIncumbent, Node: 1, Obj: 12})
 
 	resp, err := http.Get(ts.http.URL + "/v1/jobs/" + j.ID + "/events")
 	if err != nil {
@@ -78,14 +83,16 @@ func TestSSEReplayThenFollowAndTerminalFrame(t *testing.T) {
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	for i, wantKind := range []string{"node.open", "node.close"} {
+	for i, wantKind := range []string{"step.start", "incumbent"} {
 		f := nextFrame(t, sc)
 		if f.event != "" || !strings.Contains(f.data, wantKind) {
 			t.Fatalf("replay frame %d = %+v, want kind %s", i, f, wantKind)
 		}
 	}
 
-	// An event emitted while attached arrives live.
+	// An event emitted while attached arrives live; a per-node one
+	// emitted before it does not.
+	j.trace.Emit(obs.Event{Kind: obs.KindNodeClose, Node: 1, Depth: 1})
 	j.trace.Emit(obs.Event{Kind: obs.KindProgress, Nodes: 5, Obj: 12, Bound: 10, Gap: 0.2})
 	if f := nextFrame(t, sc); !strings.Contains(f.data, "progress") {
 		t.Fatalf("live frame = %+v, want progress", f)
@@ -117,7 +124,7 @@ func TestSSEUnknownJob404(t *testing.T) {
 func TestSSEFollowerCapReturns429(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1})
 	j := makeIdleJob(t, ts.Server)
-	j.trace.maxSubs = 0 // exhaust the cap without opening 32 sockets
+	j.trace.maxFollowers = 0 // exhaust the cap without opening 32 sockets
 	resp, err := http.Get(ts.http.URL + "/v1/jobs/" + j.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -147,55 +154,28 @@ func TestSSEHeartbeat(t *testing.T) {
 
 func TestTraceBufferSubscribeCap(t *testing.T) {
 	b := newTraceBuffer(10)
-	var subs []*traceSub
-	for i := 0; i < defaultMaxSubs; i++ {
-		_, sub, ok := b.subscribe(1)
-		if !ok {
-			t.Fatalf("subscribe %d refused below cap", i)
+	for i := 0; i < defaultMaxFollowers; i++ {
+		if !b.follow() {
+			t.Fatalf("follower %d refused below the cap", i)
 		}
-		subs = append(subs, sub)
 	}
-	if _, _, ok := b.subscribe(1); ok {
-		t.Fatal("subscribe above cap succeeded")
+	if b.follow() {
+		t.Fatal("follower above the cap admitted")
 	}
-	b.unsubscribe(subs[0])
-	if _, sub, ok := b.subscribe(1); !ok {
-		t.Fatal("unsubscribe did not free a follower slot")
-	} else {
-		b.unsubscribe(sub)
-	}
-}
-
-func TestTraceBufferReplayAndBackPressure(t *testing.T) {
-	b := newTraceBuffer(10)
-	b.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: 1})
-	b.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: 2})
-
-	// The replay snapshot holds exactly the pre-subscription events.
-	replay, slow, ok := b.subscribe(1)
-	if !ok || replay.Len() != 2 {
-		t.Fatalf("replay = %d events, ok=%v; want 2", replay.Len(), ok)
-	}
-
-	// A follower with a full channel loses events instead of blocking
-	// Emit; the loss is counted and reported at unsubscribe.
-	for n := 3; n <= 5; n++ {
-		b.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: n})
-	}
-	if got := (<-slow.ch).Node; got != 3 {
-		t.Fatalf("buffered live event node = %d, want 3", got)
-	}
-	if lost := b.unsubscribe(slow); lost != 2 {
-		t.Fatalf("lost = %d, want 2", lost)
+	b.unfollow()
+	if !b.follow() {
+		t.Fatal("unfollow did not free a follower place")
 	}
 }
 
 // stallWriter is a streaming response whose body writes block until
-// release is closed; started is closed at the first one.
+// release is closed; started is closed at the first one. It keeps what
+// was written in body.
 type stallWriter struct {
 	header           http.Header
 	started, release chan struct{}
 	once             sync.Once
+	body             bytes.Buffer
 }
 
 func (w *stallWriter) Header() http.Header { return w.header }
@@ -204,13 +184,13 @@ func (w *stallWriter) Flush()              {}
 func (w *stallWriter) Write(p []byte) (int, error) {
 	w.once.Do(func() { close(w.started) })
 	<-w.release
-	return len(p), nil
+	return w.body.Write(p)
 }
 
-// A follower that falls behind and then disconnects before its job ends
-// never sees a terminal frame, yet its losses still reach
-// sse_lost_events.
-func TestSSEDisconnectCountsLostEvents(t *testing.T) {
+// A follower whose client stalls while the solver emits falls behind
+// in the job's trace and loses nothing: once its client reads again,
+// it gets every event and then the terminal frame.
+func TestSSEStalledFollowerGetsEveryEvent(t *testing.T) {
 	s := New(Config{Workers: 1, SSEHeartbeat: time.Hour})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -219,8 +199,7 @@ func TestSSEDisconnectCountsLostEvents(t *testing.T) {
 	})
 	j := makeIdleJob(t, s)
 	w := &stallWriter{header: http.Header{}, started: make(chan struct{}), release: make(chan struct{})}
-	ctx, disconnect := context.WithCancel(context.Background())
-	req := httptest.NewRequest("GET", "/v1/jobs/"+j.ID+"/events", nil).WithContext(ctx)
+	req := httptest.NewRequest("GET", "/v1/jobs/"+j.ID+"/events", nil)
 	req.SetPathValue("id", j.ID)
 	served := make(chan struct{})
 	go func() {
@@ -228,18 +207,106 @@ func TestSSEDisconnectCountsLostEvents(t *testing.T) {
 		s.handleEvents(w, req)
 	}()
 
-	// The first event stalls the stream in its write; the follower's
-	// queue (256 events) then takes 256 of the next 300 and loses 44.
-	j.trace.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: 1})
+	// The first event stalls the stream in its write; 300 more follow
+	// before the client reads again.
+	j.trace.Emit(obs.Event{Kind: obs.KindProgress, Nodes: 1})
 	<-w.started
 	for n := 2; n <= 301; n++ {
-		j.trace.Emit(obs.Event{Kind: obs.KindNodeOpen, Node: n})
+		j.trace.Emit(obs.Event{Kind: obs.KindProgress, Nodes: n})
 	}
-	disconnect()
+	j.finish(StateDone, nil, false, "")
 	close(w.release)
 	<-served
-	if got := s.metrics.Counter("sse_lost_events"); got != 44 {
-		t.Fatalf("sse_lost_events = %d, want 44", got)
+
+	sc := bufio.NewScanner(&w.body)
+	for n := 1; n <= 301; n++ {
+		f := nextFrame(t, sc)
+		var e obs.Event
+		if err := json.Unmarshal([]byte(f.data), &e); f.event != "" || err != nil || e.Kind != obs.KindProgress || e.Nodes != n {
+			t.Fatalf("frame %d = %+v (%v), want progress with nodes %d", n, f, err, n)
+		}
+	}
+	if f := nextFrame(t, sc); f.event != "job" {
+		t.Fatalf("frame after the events = %+v, want event job", f)
+	}
+}
+
+// TestSSEPastTheTraceCap runs a job's trace past its cap: per-node
+// events are dropped there, step and progress events are kept up to
+// twice the cap, and /trace and /events both end with the same
+// trace.truncated count, the stream without any per-node event.
+func TestSSEPastTheTraceCap(t *testing.T) {
+	const max = 10
+	ts := newTestServer(t, Config{Workers: 1, TraceEvents: max, SSEHeartbeat: time.Hour})
+	j := makeIdleJob(t, ts.Server)
+	resp, err := http.Get(ts.http.URL + "/v1/jobs/" + j.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	// 15 rounds of a step.start, a node.open, an lp.solve and a
+	// progress probe: 60 events, of which the trace keeps the first
+	// 10, then the non-per-node ones until it holds 20.
+	var want []obs.Kind // the kinds /trace keeps
+	kept := 0
+	for step := 1; step <= 15; step++ {
+		for _, k := range []obs.Kind{obs.KindStepStart, obs.KindNodeOpen, obs.KindLPSolve, obs.KindProgress} {
+			j.trace.Emit(obs.Event{Kind: k, Step: step})
+			if kept < max || !k.PerNode() && kept < 2*max {
+				want = append(want, k)
+				kept++
+			}
+		}
+	}
+	j.finish(StateDone, nil, false, "")
+	if got := j.trace.Len(); got != 2*max {
+		t.Fatalf("trace keeps %d events, want %d", got, 2*max)
+	}
+
+	trace, err := http.Get(ts.http.URL + "/v1/jobs/" + j.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJSONL(trace.Body)
+	trace.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(want)+1 {
+		t.Fatalf("/trace has %d lines, want %d", len(events), len(want)+1)
+	}
+	for i, k := range want {
+		if events[i].Kind != k {
+			t.Fatalf("/trace line %d kind %s, want %s", i+1, events[i].Kind, k)
+		}
+	}
+	last := events[len(want)]
+	if last.Kind != kindTruncated || last.Nodes != 60-2*max {
+		t.Fatalf("/trace ends with %+v, want trace.truncated with nodes %d", last, 60-2*max)
+	}
+
+	sc := bufio.NewScanner(resp.Body)
+	var streamed []obs.Event
+	for {
+		f := nextFrame(t, sc)
+		if f.event == "job" {
+			break
+		}
+		var e obs.Event
+		if err := json.Unmarshal([]byte(f.data), &e); err != nil {
+			t.Fatalf("frame %q: %v", f.data, err)
+		}
+		streamed = append(streamed, e)
+	}
+	var wantStream []obs.Event
+	for _, e := range events {
+		if !e.Kind.PerNode() {
+			wantStream = append(wantStream, e)
+		}
+	}
+	if !reflect.DeepEqual(streamed, wantStream) {
+		t.Fatalf("stream carried %d events %+v,\nwant /trace without per-node events, %d %+v", len(streamed), streamed, len(wantStream), wantStream)
 	}
 }
 
@@ -356,9 +423,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if !strings.Contains(out, "worker_utilization_pct ") {
 			t.Fatalf("Accept %q: exposition missing worker_utilization_pct:\n%s", accept, out)
 		}
-		// The trust counters and the SSE loss counter are scrapeable
-		// before any job ran.
-		for _, want := range []string{"lp_iterlimit_total 0", "steps_limit_total 0", "sse_lost_events_total 0"} {
+		// The trust counters are scrapeable before any job ran.
+		for _, want := range []string{"lp_iterlimit_total 0", "steps_limit_total 0"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("Accept %q: exposition lacks %q:\n%s", accept, want, out)
 			}

@@ -45,26 +45,38 @@ func randomTraceEvent(rng *rand.Rand) obs.Event {
 	return e
 }
 
+// traceKinds are the kinds randomTraceEvents draws from: the per-node
+// ones the trace caps first, ones it keeps to twice the cap, and a
+// kind no solver emits.
+var traceKinds = []obs.Kind{obs.KindNodeOpen, obs.KindNodeClose, obs.KindNodePrune, obs.KindLPSolve,
+	obs.KindStepStart, obs.KindProgress, obs.KindIncumbent, "quote\" \\ é"}
+
 // TestTraceBufferJSONLMatchesJSONLWriter pins /v1/jobs/{id}/trace to the
 // CLI -trace format: random events past the retention cap, written back
-// from the binary records, equal obs.JSONLWriter over the same retained
-// events plus the truncation line, byte for byte.
+// from the binary records, equal obs.JSONLWriter over the events the
+// retention rule keeps plus the truncation line, byte for byte.
 func TestTraceBufferJSONLMatchesJSONLWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 499, 500, 2000} {
+	for _, n := range []int{0, 1, 499, 500, 2000, 5000} {
 		const max = 500
 		b := newTraceBuffer(max)
 		var want bytes.Buffer
 		jw := obs.NewJSONLWriter(&want)
+		kept := 0
 		for i := 0; i < n; i++ {
 			e := randomTraceEvent(rng)
+			e.Kind = traceKinds[rng.Intn(len(traceKinds))]
 			b.Emit(e)
-			if i < max {
+			if kept < max || !e.Kind.PerNode() && kept < 2*max {
 				jw.Emit(e)
+				kept++
 			}
 		}
-		if n > max {
-			jw.Emit(obs.Event{Kind: kindTruncated, Nodes: n - max})
+		if kept < n {
+			jw.Emit(obs.Event{Kind: kindTruncated, Nodes: n - kept})
+		}
+		if n == 5000 && kept != 2*max {
+			t.Fatalf("n=%d: the rule keeps %d events, want the test to reach %d", n, kept, 2*max)
 		}
 		var got bytes.Buffer
 		if err := b.WriteJSONL(&got); err != nil {
@@ -82,17 +94,42 @@ func TestTraceBufferJSONLMatchesJSONLWriter(t *testing.T) {
 	}
 }
 
+func TestTraceBufferCapsAndMarksTruncation(t *testing.T) {
+	b := newTraceBuffer(3)
+	for i := 0; i < 10; i++ {
+		b.Emit(obs.Event{Kind: obs.KindLPSolve, Iters: i})
+	}
+	if b.Len() != 3 {
+		t.Fatalf("retained %d events, want 3", b.Len())
+	}
+	objs, err := b.lines()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objs) != 4 { // 3 events + truncation marker
+		t.Fatalf("wrote %d lines, want 4", len(objs))
+	}
+	last := objs[3]
+	if last["kind"] != string(kindTruncated) {
+		t.Fatalf("last line = %v", last)
+	}
+	if last["nodes"] != float64(7) {
+		t.Fatalf("dropped count = %v, want 7", last["nodes"])
+	}
+}
+
 // TestTraceBufferConcurrentFollowers emits from several goroutines at
 // once, as a portfolio race or a multi-worker search does, while
-// followers subscribe mid-stream and readers serve the trace. Every
-// follower whose channel can hold the whole stream must see replay plus
-// live events equal to the retained sequence, with no gap and no
-// duplicate; every served trace must be a prefix of the final one.
+// followers attach mid-stream and read the log as the SSE handler
+// does: a snapshot and a wake channel per turn, and the Since view of
+// the previous snapshot. Every follower must reassemble the retained
+// sequence with no gap and no duplicate, and every trace served
+// meanwhile must be a prefix of the final one.
 func TestTraceBufferConcurrentFollowers(t *testing.T) {
 	const emitters, perEmitter, followers = 4, 1500, 6
 	const total = emitters * perEmitter
 	b := newTraceBuffer(total)
-	start := make(chan struct{})
+	start, emitted := make(chan struct{}), make(chan struct{})
 
 	var emit sync.WaitGroup
 	for w := 1; w <= emitters; w++ {
@@ -101,10 +138,13 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 			defer emit.Done()
 			<-start
 			for i := 1; i <= perEmitter; i++ {
-				if i%3 == 0 {
+				switch i % 3 {
+				case 0:
 					b.Emit(obs.Event{Kind: obs.KindLPSolve, Worker: w, Node: i, Status: "optimal", Obj: -float64(i)})
-				} else {
+				case 1:
 					b.Emit(obs.Event{Kind: obs.KindNodeOpen, Worker: w, Node: i, Depth: i % 7, Bound: float64(i) / 3})
+				default:
+					b.Emit(obs.Event{Kind: obs.KindProgress, Worker: w, Node: i, Nodes: i, Gap: 1 / float64(i)})
 				}
 			}
 		}(w)
@@ -120,25 +160,33 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 			for b.Len() < f*total/followers {
 				runtime.Gosched() // attach mid-stream
 			}
-			replay, sub, ok := b.subscribe(total)
-			if !ok {
+			if !b.follow() {
 				t.Errorf("follower %d refused", f)
 				return
 			}
-			got := events(replay)
-			timeout := time.After(30 * time.Second)
-			for len(got) < total {
+			defer b.unfollow()
+			var got []obs.Event
+			var prev obs.EventLogSnapshot
+			for {
+				var last bool
 				select {
-				case e := <-sub.ch:
-					got = append(got, e)
-				case <-timeout:
+				case <-emitted:
+					last = true
+				default:
+				}
+				snap, _, wake := b.next()
+				snap.Since(prev).Each(func(e obs.Event) { got = append(got, e) })
+				prev = snap
+				if last {
+					break
+				}
+				select {
+				case <-wake:
+				case <-emitted:
+				case <-time.After(30 * time.Second):
 					t.Errorf("follower %d: stalled at %d of %d events", f, len(got), total)
-					b.unsubscribe(sub)
 					return
 				}
-			}
-			if lost := b.unsubscribe(sub); lost != 0 {
-				t.Errorf("follower %d lost %d events", f, lost)
 			}
 			seen[f] = got
 		}(f)
@@ -174,6 +222,7 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 
 	close(start)
 	emit.Wait()
+	close(emitted)
 	follow.Wait()
 	close(stop)
 	read.Wait()
@@ -187,12 +236,9 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 			t.Fatalf("served trace %d (%d bytes) is not a prefix of the final trace", i, len(s))
 		}
 	}
-	snap, sub, ok := b.subscribe(1)
-	if !ok {
-		t.Fatal("final subscribe refused")
-	}
-	b.unsubscribe(sub)
-	want := events(snap)
+	snap, _, _ := b.next()
+	var want []obs.Event
+	snap.Each(func(e obs.Event) { want = append(want, e) })
 	if len(want) != total {
 		t.Fatalf("retained %d events, want %d", len(want), total)
 	}
@@ -208,19 +254,10 @@ func TestTraceBufferConcurrentFollowers(t *testing.T) {
 		if got == nil {
 			continue // reported above
 		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("follower %d: event %d = %+v, want %+v", f, i, got[i], want[i])
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("follower %d reassembled %d events, not the %d retained", f, len(got), len(want))
 		}
 	}
-}
-
-// events decodes a replay snapshot into a slice.
-func events(snap obs.EventLogSnapshot) []obs.Event {
-	out := make([]obs.Event, 0, snap.Len())
-	snap.Each(func(e obs.Event) { out = append(out, e) })
-	return out
 }
 
 // lines decodes the buffered trace back into generic JSON objects; test

@@ -19,10 +19,11 @@ import (
 )
 
 // TestE2EFloorplandSSESolveProgress attaches a live event stream to a
-// multi-node MILP solve and checks the stream's contract: node.close and
-// progress events arrive, the relative gap never rises within an
-// augmentation step, and the stream terminates with an `event: job`
-// snapshot once the job completes.
+// multi-node MILP solve and checks the stream's contract: progress and
+// span events arrive and per-node events do not, the relative gap never
+// rises within an augmentation step, the stream terminates with an
+// `event: job` snapshot once the job completes, and what it carried is
+// the job's /trace without its per-node events, line for line.
 func TestE2EFloorplandSSESolveProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI e2e in -short mode")
@@ -60,6 +61,7 @@ func TestE2EFloorplandSSESolveProgress(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var event, data string
+	var streamed []string
 	kinds := map[string]int{}
 	lastGap := math.Inf(1)
 	gapProbes := 0
@@ -83,6 +85,7 @@ stream:
 			if err := json.Unmarshal([]byte(data), &e); err != nil {
 				t.Fatalf("event frame not JSON: %v\n%s", err, data)
 			}
+			streamed = append(streamed, data)
 			kind, _ := e["kind"].(string)
 			kinds[kind]++
 			switch kind {
@@ -113,14 +116,45 @@ stream:
 	if terminal["state"] != "done" {
 		t.Fatalf("terminal state %v (%v)", terminal["state"], terminal["error"])
 	}
-	if kinds["node.close"] == 0 {
-		t.Errorf("no node.close events streamed: %v", kinds)
+	for k := range kinds {
+		if obs.Kind(k).PerNode() {
+			t.Errorf("per-node kind %s streamed: %v", k, kinds)
+		}
 	}
 	if kinds["progress"] == 0 || gapProbes == 0 {
 		t.Errorf("no incumbent progress probes streamed (kinds %v, probes %d)", kinds, gapProbes)
 	}
 	if kinds["span.start"] == 0 || kinds["span.end"] == 0 {
 		t.Errorf("no span events streamed: %v", kinds)
+	}
+
+	trace, err := http.Get(base + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trace.Body.Close()
+	var want []string
+	tsc := bufio.NewScanner(trace.Body)
+	tsc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for tsc.Scan() {
+		var e obs.Event
+		if err := json.Unmarshal(tsc.Bytes(), &e); err != nil {
+			t.Fatalf("trace line not JSON: %v\n%s", err, tsc.Text())
+		}
+		if !e.Kind.PerNode() {
+			want = append(want, tsc.Text())
+		}
+	}
+	if err := tsc.Err(); err != nil {
+		t.Fatalf("trace read: %v", err)
+	}
+	for i := 0; i < len(streamed) && i < len(want); i++ {
+		if streamed[i] != want[i] {
+			t.Fatalf("streamed event %d differs from the trace:\n stream %s\n trace  %s", i+1, streamed[i], want[i])
+		}
+	}
+	if len(streamed) != len(want) {
+		t.Fatalf("streamed %d events, the trace holds %d that are not per-node", len(streamed), len(want))
 	}
 }
 
