@@ -59,10 +59,14 @@ cover:
 # (one per CPU) takes the multi-worker search even on a 1-CPU runner.
 # The per-job trace log is appended by solver goroutines while SSE
 # followers decode Since views of it and trace fetches decode snapshots,
-# so its codec, trace-buffer and SSE follower tests run ten times over.
+# so the tests that run those goroutines together (the log's concurrent
+# Since test, the trace buffer's concurrent followers and the SSE
+# handler tests) run ten times over. The log's codec tests run on one
+# goroutine with fixed seeds, where a repeat finds no new interleaving,
+# so they run once, in the first line.
 race:
 	$(GO) test -race ./internal/obs ./internal/lp ./internal/server
-	$(GO) test -race -count=10 -run 'EventLog|TraceBuffer|SSE' ./internal/obs ./internal/server
+	$(GO) test -race -count=10 -run 'TestEventLogSinceConcurrent|TestTraceBufferConcurrentFollowers|TestSSE' ./internal/obs ./internal/server
 	$(GO) test -race -cpu 1,2 ./internal/milp ./internal/mipmodel ./internal/core ./internal/portfolio
 
 # generate-check fails when internal/obs/schema.go is stale: it

@@ -132,6 +132,23 @@ func TestCLIFloorplanSAMethod(t *testing.T) {
 	}
 }
 
+// A race cut off by its deadline still serves a complete, verified
+// floorplan: it is not reported as partial, and it is routed.
+func TestCLIFloorplanRaceDeadlineIsComplete(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI e2e in -short mode")
+	}
+	out := runCLI(t, "floorplan", "", "-design", "ami33", "-backend", "portfolio", "-timeout", "1s", "-route", "-verify")
+	for _, want := range []string{"race stopped early", "verified: floorplan is legal", "routed:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "PARTIAL") || strings.Contains(out, "skipping routing") {
+		t.Fatalf("complete floorplan reported as partial:\n%s", out)
+	}
+}
+
 func TestCLIFloorplanNetlistFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI e2e in -short mode")

@@ -162,7 +162,6 @@ func run() error {
 
 	start := time.Now()
 	var r *core.Result
-	partial := false
 	switch {
 	case *backend != "" && *backend != "milp":
 		// Every other paradigm runs as a portfolio race, a single
@@ -184,7 +183,6 @@ func run() error {
 			if pres == nil || !isCtxErr(err) {
 				return err
 			}
-			partial = true
 			fmt.Fprintf(os.Stderr, "floorplan: race stopped early (%v); best incumbent follows\n", err)
 		}
 		r = pres.Result
@@ -219,13 +217,16 @@ func run() error {
 			if r == nil || !isCtxErr(err) {
 				return err
 			}
-			// Deadline or Ctrl-C mid-solve: report the partial floorplan
-			// (the best incumbent of the completed augmentation steps).
-			partial = true
+			// Deadline or Ctrl-C mid-solve: report the floorplan of the
+			// completed augmentation steps (complete when the adjust was cut).
 			fmt.Fprintf(os.Stderr, "floorplan: stopped early (%v); %d of %d modules placed\n",
 				err, len(r.Placements), len(d.Modules))
 		}
 	}
+	// A floorplan is partial when a module is missing. A deadline that
+	// cuts a race or the adjust short still leaves a complete floorplan;
+	// the stopped-early note on stderr says so.
+	partial := len(r.Placements) < len(d.Modules)
 	fmt.Printf("design %s: %d modules, total area %.0f\n", d.Name, len(d.Modules), d.TotalArea())
 	if partial {
 		fmt.Printf("PARTIAL floorplan (%d/%d modules placed):\n", len(r.Placements), len(d.Modules))
@@ -236,12 +237,8 @@ func run() error {
 
 	if *verbose {
 		for _, s := range r.Steps {
-			src := ""
-			if s.IncumbentSource != "" && s.IncumbentSource != "bb" {
-				src = ", incumbent " + s.IncumbentSource
-			}
-			fmt.Printf("  step %d: +%d modules, %d obstacles, %d binaries, %d nodes, %v, height %.1f (%v)%s\n",
-				s.Step, len(s.Added), s.Obstacles, s.Binaries, s.Nodes, s.Status, s.Height, s.Elapsed.Round(time.Millisecond), src)
+			fmt.Printf("  step %d: +%d modules, %d obstacles, %d binaries, %d nodes, %v, height %.1f (%v)\n",
+				s.Step, len(s.Added), s.Obstacles, s.Binaries, s.Nodes, s.Status, s.Height, s.Elapsed.Round(time.Millisecond))
 		}
 	}
 	// Step statuses are printed only under -verbose, so say it when a

@@ -25,7 +25,7 @@ import (
 //
 //   - a source comment declares the edge explicitly:
 //
-//     // lockorder: milp.solver.mu -> portfolio.Board.mu -- reason
+//     // lockorder: milp.solver.mu -> obs.Recorder.mu -- reason
 //
 //     for orderings routed through function values or interfaces the
 //     static summaries cannot see (e.g. obs.Observer sinks).

@@ -1,20 +1,9 @@
 package core
 
 import (
-	"errors"
-
 	"afp/internal/geom"
 	"afp/internal/netlist"
 )
-
-// ErrDominated reports that a step's branch and bound exhausted under an
-// externally-shared incumbent (Config.ExternalBound) without beating it:
-// the external floorplan is at least as good as anything this
-// augmentation trajectory can still reach, so the run concedes early
-// instead of finishing a provably-worse placement. Portfolio racers
-// treat it as a successful concession, not a failure; test with
-// errors.Is.
-var ErrDominated = errors.New("dominated by external incumbent")
 
 // ChipWidthFor resolves the chip width a solve of d under cfg will use:
 // cfg.ChipWidth when positive, otherwise the automatic width derived

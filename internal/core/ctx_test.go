@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"afp/internal/geom"
+	"afp/internal/milp"
 	"afp/internal/netlist"
 )
 
@@ -70,5 +73,33 @@ func TestFloorplanBestWidthCtxCancelled(t *testing.T) {
 	}
 	if !errors.Is(trials[0].Err, context.Canceled) {
 		t.Fatalf("trial err = %v, want context.Canceled", trials[0].Err)
+	}
+}
+
+// Utilization counts the modules a floorplan places: a complete
+// floorplan divides the design's total area, bit for bit, and the
+// partial floorplan of its first augmentation step (what a deadline
+// returns) stays at or below 1.
+func TestPartialUtilizationCountsPlacedModules(t *testing.T) {
+	d := netlist.Random(12, 3)
+	full, err := Floorplan(d, Config{GroupSize: 4, MILP: milp.Options{MaxNodes: 500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := full.Utilization(), d.TotalArea()/full.ChipArea(); got != want {
+		t.Fatalf("complete floorplan utilization %v, want %v", got, want)
+	}
+
+	part := *full
+	part.Placements = full.Placements[:len(full.Steps[0].Added)]
+	part.Height = geom.NewSkyline(part.Envelopes()).MaxHeight()
+	var placed float64
+	for _, p := range part.Placements {
+		placed += d.Modules[p.Index].ModuleArea()
+	}
+	u := part.Utilization()
+	if u > 1 || math.Abs(u-placed/part.ChipArea()) > 1e-12 {
+		t.Fatalf("partial floorplan (%d of %d modules) utilization %v, want placed area over chip area %v",
+			len(part.Placements), len(d.Modules), u, placed/part.ChipArea())
 	}
 }

@@ -98,15 +98,6 @@ type Config struct {
 	// milliseconds per step and exists to catch formulation regressions,
 	// so CLIs enable it together with -verify.
 	Audit bool
-	// ExternalBound, when set under the AreaOnly objective (whose step
-	// MILPs minimize the chip height directly), supplies an
-	// externally-verified feasible chip height and its producer label.
-	// Every step's branch and bound polls it and prunes nodes whose LP
-	// bound cannot beat it — sound because partial heights never decrease
-	// across augmentation steps, so a step node at or above the external
-	// height can only lead to floorplans no better than the external one.
-	// A step proven dominated stops the run with ErrDominated.
-	ExternalBound func() (height float64, source string, ok bool)
 	// Obs receives augmentation telemetry (step.start/step.done events)
 	// and is threaded into the MILP and LP layers so a single sink sees
 	// the whole solve. Nil (the default) disables instrumentation at no
@@ -272,11 +263,6 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			opts.Presolve = !c.NoPresolve
 			opts.Obs = c.Obs
 			opts.LP.Obs = c.Obs
-			if c.ExternalBound != nil && c.Objective == mipmodel.AreaOnly {
-				// The AreaOnly step objective IS the partial chip height, so
-				// an external full-floorplan height is a valid cutoff.
-				opts.External = c.ExternalBound
-			}
 
 			c.Obs.Emit(obs.Event{
 				Kind: obs.KindStepStart, Step: step, Modules: pos,
@@ -287,15 +273,6 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			relaxed := false
 			if mres.X == nil && ctx.Err() != nil {
 				stepRes, stepErr = partial(), ctx.Err()
-				stop = true
-				return
-			}
-			if mres.Status == milp.StatusDominated {
-				// The externally-shared incumbent beats everything this
-				// trajectory can still reach: concede instead of placing on.
-				// The partial floorplan rides along (like cancellation) so
-				// racers can still account for the steps already solved.
-				stepRes, stepErr = partial(), fmt.Errorf("core: step %d: %w", step, ErrDominated)
 				stop = true
 				return
 			}
@@ -334,21 +311,20 @@ func floorplanCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			}
 			stepHeight := geom.NewSkyline(envs).MaxHeight()
 			res.Steps = append(res.Steps, StepTrace{
-				Step:            step,
-				Added:           append([]int(nil), group...),
-				Obstacles:       len(obstacles),
-				Modules:         pos,
-				Binaries:        len(built.Model.Ints),
-				Nodes:           mres.Nodes,
-				LPIters:         mres.LPIters,
-				DualPivots:      mres.DualPivots,
-				Refactors:       mres.Refactorizations,
-				Status:          mres.Status,
-				IncumbentSource: mres.IncumbentSource,
-				Gap:             mres.Gap(),
-				Height:          stepHeight,
-				Elapsed:         time.Since(stepStart),
-				Relaxed:         relaxed,
+				Step:       step,
+				Added:      append([]int(nil), group...),
+				Obstacles:  len(obstacles),
+				Modules:    pos,
+				Binaries:   len(built.Model.Ints),
+				Nodes:      mres.Nodes,
+				LPIters:    mres.LPIters,
+				DualPivots: mres.DualPivots,
+				Refactors:  mres.Refactorizations,
+				Status:     mres.Status,
+				Gap:        mres.Gap(),
+				Height:     stepHeight,
+				Elapsed:    time.Since(stepStart),
+				Relaxed:    relaxed,
 			})
 			c.Obs.Emit(obs.Event{
 				Kind: obs.KindStepDone, Step: step, Status: mres.Status.String(),

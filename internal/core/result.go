@@ -35,18 +35,12 @@ type StepTrace struct {
 	Binaries  int   // 0-1 variables in the subproblem
 	Nodes     int   // branch-and-bound nodes
 	LPIters   int   // simplex iterations across all of the step's node solves
-	// DualPivots and Refactors attribute the step's LP effort to the
-	// sparse engine: warm-started dual simplex pivots and basis
-	// refactorizations across all node solves. Zero when every solve
-	// took the dense primal path.
+	// DualPivots and Refactors break down the step's LP effort:
+	// warm-started dual simplex pivots and basis refactorizations across
+	// all of its node solves.
 	DualPivots int
 	Refactors  int
 	Status     milp.Status
-	// IncumbentSource names who owned the step's best solution: "bb" for
-	// the branch and bound itself (or its bottom-left hint), or a
-	// portfolio label like "portfolio:anneal" when an externally-shared
-	// incumbent dominated the step.
-	IncumbentSource string
 	// Gap is the step subproblem's relative MIP gap (+Inf when the step
 	// stopped without a proven bound); nonzero gaps identify steps whose
 	// node or time budget ran out before optimality.
@@ -76,14 +70,28 @@ type Result struct {
 // ChipArea returns the chip area W*H.
 func (r *Result) ChipArea() float64 { return r.ChipWidth * r.Height }
 
-// Utilization returns total module area divided by chip area, the "area
-// utilization" percentage of Tables 1 and 2.
+// Utilization returns the placed modules' area divided by chip area, the
+// "area utilization" percentage of Tables 1 and 2. The modules are summed
+// in design order, so a complete floorplan divides exactly
+// Design.TotalArea; a partial one counts only what it placed.
 func (r *Result) Utilization() float64 {
 	a := r.ChipArea()
 	if a <= 0 {
 		return 0
 	}
-	return r.Design.TotalArea() / a
+	placed := make([]bool, len(r.Design.Modules))
+	for _, p := range r.Placements {
+		if p.Index >= 0 && p.Index < len(placed) {
+			placed[p.Index] = true
+		}
+	}
+	var s float64
+	for i := range r.Design.Modules {
+		if placed[i] {
+			s += r.Design.Modules[i].ModuleArea()
+		}
+	}
+	return s / a
 }
 
 // PlacementOf returns the placement of the module with the given design

@@ -89,18 +89,6 @@ type Options struct {
 	Incumbent []float64
 	// LP tunes the relaxation solver.
 	LP lp.Options
-	// External optionally supplies an externally-proven feasible objective
-	// value (in the problem's original sense) together with a label naming
-	// its producer, e.g. "portfolio:anneal". The search polls it at node
-	// boundaries and prunes any subtree whose LP bound cannot beat the
-	// external value, exactly as it prunes against its own incumbent; the
-	// hook must be safe for concurrent use (parallel workers poll it under
-	// the pool lock) and should be a cheap mutex-guarded read. When the
-	// search exhausts without an internal incumbent at least as good as
-	// the external objective, the result is StatusDominated: nothing in
-	// this model beats the external solution (within AbsGap), and
-	// Result.IncumbentSource carries the external label.
-	External func() (obj float64, source string, ok bool)
 	// Obs receives branch-and-bound telemetry: node open/close/prune
 	// events, incumbent updates, periodic progress probes and a final
 	// search summary. Nil (the default) disables instrumentation at no
@@ -122,10 +110,6 @@ const (
 	StatusInfeasible               // no integer-feasible point exists
 	StatusUnbounded                // relaxation unbounded
 	StatusLimit                    // limit hit with no incumbent
-	// StatusDominated: the search exhausted under an Options.External
-	// cutoff without beating it — the external solution is proven at
-	// least as good as anything in this model (within AbsGap).
-	StatusDominated
 )
 
 func (s Status) String() string {
@@ -138,8 +122,6 @@ func (s Status) String() string {
 		return "infeasible"
 	case StatusUnbounded:
 		return "unbounded"
-	case StatusDominated:
-		return "dominated"
 	default:
 		return "limit"
 	}
@@ -161,11 +143,6 @@ type Result struct {
 	// basis coming online).
 	DualPivots       int
 	Refactorizations int
-	// IncumbentSource names who owns the best known solution: "bb" when
-	// the search (or its hint) produced X, or the Options.External label
-	// (e.g. "portfolio:anneal") on StatusDominated results. Empty when no
-	// incumbent is known at all.
-	IncumbentSource string
 }
 
 // Gap returns the relative MIP gap |Objective - BestBound| /

@@ -72,10 +72,6 @@ type solver struct {
 	incumbentObj float64   // guarded by mu; minimize sense
 	haveInc      bool      // guarded by mu
 
-	extObj    float64 // guarded by mu; best external objective seen (minimize sense)
-	extSource string  // guarded by mu
-	haveExt   bool    // guarded by mu
-
 	nodes      int   // guarded by mu
 	lpIters    int   // guarded by mu
 	dualPivots int   // guarded by mu
@@ -245,8 +241,7 @@ func (s *solver) next(id int, local *node) *node {
 		} else {
 			n = s.takeLocked(id)
 		}
-		s.pollExternalLocked()
-		if cut, ok := s.cutoffLocked(); ok && n.bound >= cut-s.opt.AbsGap {
+		if s.haveInc && n.bound >= s.incumbentObj-s.opt.AbsGap {
 			s.prunedN++
 			if s.o.Enabled() {
 				s.o.Emit(obs.Event{
@@ -356,49 +351,12 @@ func (s *solver) share(n *node) {
 	s.cond.Signal()
 }
 
-// pollExternalLocked refreshes the externally-shared incumbent. The
-// External hook is called with s.mu held; by contract it only takes
-// locks that never wait on a branch-and-bound worker (the portfolio
-// board's mutex). The hook is a function value the static lock graph
-// cannot trace, so the ordering is declared:
-//
-// lockorder: milp.solver.mu -> portfolio.Board.mu -- Options.External polls the board's verified incumbent while the pool lock is held
-//
-// locked: s.mu
-func (s *solver) pollExternalLocked() {
-	if s.opt.External == nil {
-		return
-	}
-	if obj, src, ok := s.opt.External(); ok {
-		v := s.sign * obj
-		if !s.haveExt || v < s.extObj {
-			s.extObj, s.extSource, s.haveExt = v, src, true
-		}
-	}
-}
-
-// cutoffLocked returns the pruning cutoff in minimize sense: the tighter
-// of the internal incumbent and the external objective.
-//
-// locked: s.mu
-func (s *solver) cutoffLocked() (float64, bool) {
-	switch {
-	case s.haveInc && s.haveExt:
-		return math.Min(s.incumbentObj, s.extObj), true
-	case s.haveInc:
-		return s.incumbentObj, true
-	case s.haveExt:
-		return s.extObj, true
-	}
-	return 0, false
-}
-
-// cutoffSnapshot polls the external hook and returns the current cutoff.
-func (s *solver) cutoffSnapshot() (float64, bool) {
+// cutoff returns the pruning cutoff, the incumbent objective in minimize
+// sense, and whether an incumbent exists.
+func (s *solver) cutoff() (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pollExternalLocked()
-	return s.cutoffLocked()
+	return s.incumbentObj, s.haveInc
 }
 
 // publishIncumbent installs a strictly better incumbent under the lock
@@ -590,7 +548,7 @@ func (w *worker) process(n *node) *node {
 	if n.branchVar >= 0 && !math.IsInf(n.bound, -1) {
 		s.recordPseudo(n.branchVar, n.branchUp, obj-n.bound)
 	}
-	if cut, have := s.cutoffSnapshot(); have && obj >= cut-s.opt.AbsGap {
+	if cut, have := s.cutoff(); have && obj >= cut-s.opt.AbsGap {
 		s.emitClose(w.id, n, "bound", obj)
 		return nil
 	}
@@ -649,12 +607,6 @@ func (s *solver) result() *Result {
 			st = StatusFeasible
 		}
 		bound = math.Min(minOpenBound(s.pool), s.abortFold)
-	case s.haveExt && (!s.haveInc || s.extObj < s.incumbentObj):
-		// Exhausted. Subtrees were pruned against min(incumbent, external),
-		// so when the external objective is the tighter of the two nothing
-		// in this model beats it: the external solution dominates.
-		st = StatusDominated
-		bound = s.extObj
 	case s.haveInc:
 		st = StatusOptimal
 		bound = s.incumbentObj
@@ -668,10 +620,6 @@ func (s *solver) result() *Result {
 	if s.haveInc {
 		r.X = s.incumbent
 		r.Objective = s.sign * s.incumbentObj
-		r.IncumbentSource = "bb"
-	}
-	if st == StatusDominated {
-		r.IncumbentSource = s.extSource
 	}
 	if s.o.Enabled() {
 		s.o.Emit(obs.Event{

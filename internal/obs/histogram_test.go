@@ -111,7 +111,7 @@ func TestMetricsSinkTrustCounters(t *testing.T) {
 		{Kind: KindStepDone, Status: "optimal"},
 		{Kind: KindStepDone, Status: "feasible"},
 		{Kind: KindStepDone, Status: "limit"},
-		{Kind: KindStepDone, Status: "dominated"},
+		{Kind: KindStepDone, Status: "infeasible"},
 		{Kind: KindSearchDone, Status: "limit"}, // not a step
 	} {
 		s.Emit(e)

@@ -12,14 +12,10 @@ import (
 )
 
 // backend is one portfolio contestant. run solves the design at the
-// race's fixed chip width, publishing every improving verified layout to
-// the board, and returns its own best floorplan. An exact backend
-// finishing without error has *proven* its answer optimal (or proven the
-// board incumbent unbeatable, signalled by core.ErrDominated), which
-// settles the race; heuristic backends merely finish.
+// race's fixed chip width, publishing its floorplans to the board, and
+// returns its own best floorplan.
 type backend interface {
 	name() string
-	exact() bool
 	run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (*core.Result, error)
 }
 
@@ -35,25 +31,21 @@ func newBackend(name string) (backend, error) {
 	return nil, fmt.Errorf("portfolio: unknown backend %q (have milp, anneal, seqpair, project)", name)
 }
 
-// milpBackend runs the paper's successive augmentation with the board
-// wired in as the external bound: every verified heuristic incumbent
-// immediately tightens the per-step branch-and-bound cutoff, and when
-// the board incumbent dominates everything a step can still reach the
-// run concedes with core.ErrDominated instead of grinding on.
+// milpBackend runs the paper's successive augmentation at the race
+// width: the solo core.FloorplanCtx path, whose per-step proofs stay in
+// its Steps. It publishes its floorplan once, when it returns.
 type milpBackend struct{}
 
 func (milpBackend) name() string { return "milp" }
-func (milpBackend) exact() bool  { return true }
 
 func (milpBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
 	c := cfg
 	c.ChipWidth = width
-	c.ExternalBound = board.Best
 	c.Obs = opts.Obs
 	opts.Obs.Do(ctx, "backend.milp", obs.SpanAttrs{Detail: d.Name}, func(ctx context.Context) {
 		res, err = core.FloorplanCtx(ctx, d, c)
 	})
-	if err == nil && res != nil {
+	if res != nil {
 		board.Publish("milp", res)
 	}
 	return res, err
@@ -75,7 +67,6 @@ func heuristicLambda(cfg core.Config) float64 {
 type annealBackend struct{ id string }
 
 func (b annealBackend) name() string { return b.id }
-func (annealBackend) exact() bool    { return false }
 
 func (b annealBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
 	c := anneal.Config{
@@ -102,7 +93,6 @@ func (b annealBackend) run(ctx context.Context, d *netlist.Design, cfg core.Conf
 type projectBackend struct{}
 
 func (projectBackend) name() string { return "project" }
-func (projectBackend) exact() bool  { return false }
 
 func (projectBackend) run(ctx context.Context, d *netlist.Design, cfg core.Config, opts Options, board *Board, width float64) (res *core.Result, err error) {
 	opts.Obs.Do(ctx, "backend.project", obs.SpanAttrs{Detail: d.Name}, func(ctx context.Context) {

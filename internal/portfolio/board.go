@@ -26,14 +26,8 @@ type Incumbent struct {
 
 // Board is the shared incumbent board of a portfolio race. Backends
 // publish candidate floorplans; the board verifies each one with the
-// same core verify path the service uses and keeps the best. The MILP
-// contestant polls Best through milp.Options.External, so a verified
-// heuristic incumbent immediately tightens the branch-and-bound cutoff
-// of every in-flight step — and an illegal candidate can never do so.
-//
-// Lock discipline: Board.mu is a leaf. No method calls back into any
-// solver while holding it, so the B&B pool lock -> Board.mu ordering
-// stays acyclic when workers poll Best.
+// same core verify path the service uses and keeps the best, so an
+// illegal candidate can never win a race.
 type Board struct {
 	design *netlist.Design
 	width  float64
@@ -98,10 +92,10 @@ func NewBoard(d *netlist.Design, width float64, o *obs.Observer) *Board {
 // candidate must survive the shared core verify path before it may
 // become an incumbent: a missing module, a pairwise overlap, an
 // out-of-bounds envelope, a rigid dimension mismatch or a flexible
-// area/aspect violation all reject it, so no heuristic layout can
-// tighten the B&B cutoff without being a legal floorplan of the full
-// design at the race's chip width. Returns whether the candidate became
-// the new board best. Safe for concurrent use.
+// area/aspect violation all reject it, so no layout can win the race
+// without being a legal floorplan of the full design at the race's chip
+// width. Returns whether the candidate became the new board best. Safe
+// for concurrent use.
 func (b *Board) Publish(source string, res *core.Result) bool {
 	if res == nil || len(res.Placements) != len(b.design.Modules) {
 		b.reject(source)
@@ -165,19 +159,6 @@ func (b *Board) statsLocked(source string) *sourceStats {
 		b.stats[source] = st
 	}
 	return st
-}
-
-// Best returns the current incumbent height and its portfolio-qualified
-// source label. It satisfies both milp.Options.External and
-// core.Config.ExternalBound, and is safe to call from B&B workers that
-// hold their pool lock (see the lock discipline above).
-func (b *Board) Best() (height float64, source string, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.haveBest {
-		return 0, "", false
-	}
-	return b.best.Height, "portfolio:" + b.bestSrc, true
 }
 
 // Bound returns the proven lower bound and its source, "area".

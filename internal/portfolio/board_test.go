@@ -33,24 +33,23 @@ func legalStack(d *netlist.Design) *core.Result {
 func TestBoardPublishVerified(t *testing.T) {
 	d := boardDesign()
 	b := NewBoard(d, 4, nil)
-	if _, _, ok := b.Best(); ok {
+	if _, _, ok := b.Snapshot(); ok {
 		t.Fatal("empty board reports a best")
 	}
 	if !b.Publish("anneal", legalStack(d)) {
 		t.Fatal("legal candidate rejected")
 	}
-	h, src, ok := b.Best()
-	if !ok || math.Abs(h-6) > 1e-9 || src != "portfolio:anneal" {
-		t.Fatalf("Best() = %v, %q, %v", h, src, ok)
+	best, src, ok := b.Snapshot()
+	if !ok || math.Abs(best.Height-6) > 1e-9 || src != "anneal" {
+		t.Fatalf("Snapshot() = %v, %q, %v", best, src, ok)
 	}
 	if ttff, ok := b.FirstFeasible(); !ok || ttff <= 0 {
 		t.Fatalf("FirstFeasible() = %v, %v", ttff, ok)
 	}
 }
 
-// The satellite regression: a deliberately-overlapping candidate is
-// rejected by the shared verify path and never tightens the bound the
-// branch and bound sees through Best().
+// A deliberately-overlapping candidate is rejected by the shared verify
+// path and never becomes the board's best.
 func TestBoardRejectsOverlappingCandidate(t *testing.T) {
 	d := boardDesign()
 	b := NewBoard(d, 4, nil)
@@ -68,8 +67,8 @@ func TestBoardRejectsOverlappingCandidate(t *testing.T) {
 	if b.Publish("project", cheat) {
 		t.Fatal("overlapping candidate accepted as incumbent")
 	}
-	if h, src, _ := b.Best(); math.Abs(h-6) > 1e-9 || src != "portfolio:anneal" {
-		t.Fatalf("overlapping candidate moved the board: Best() = %v, %q", h, src)
+	if best, src, _ := b.Snapshot(); math.Abs(best.Height-6) > 1e-9 || src != "anneal" {
+		t.Fatalf("overlapping candidate moved the board: Snapshot() = %v, %q", best.Height, src)
 	}
 	if b.Rejected() != 1 {
 		t.Fatalf("Rejected() = %d, want 1", b.Rejected())
@@ -100,7 +99,7 @@ func TestBoardRejectsIncompleteAndTooWide(t *testing.T) {
 	if b.Publish("x", nil) {
 		t.Fatal("nil candidate accepted")
 	}
-	if _, _, ok := b.Best(); ok {
+	if _, _, ok := b.Snapshot(); ok {
 		t.Fatal("rejected candidates installed an incumbent")
 	}
 }

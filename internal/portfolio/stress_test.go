@@ -4,29 +4,24 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
-	"afp/internal/core"
 	"afp/internal/geom"
-	"afp/internal/milp"
+	"afp/internal/netlist"
 	"afp/internal/obs"
 )
 
 // TestRaceEightWorkers races all four backends with an 8-worker MILP
-// contestant while a pack of readers hammers the board from the side.
+// contestant while a pack of readers hammers the recorder from the side.
 // Under -race this exercises the full concurrency surface the analyzer
 // suite annotates statically: the B&B pool lock, the shared incumbent
 // board, and the per-sink observer locks, all interleaved at once.
 func TestRaceEightWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second race")
+		t.Skip("race of every contestant")
 	}
-	d := flex9()
-	cfg := core.Config{
-		GroupSize: 3,
-		MILP:      milp.Options{MaxNodes: 50000, TimeLimit: 30 * time.Second},
-		Workers:   8,
-	}
+	d := netlist.Random(8, 1)
+	cfg := rand8Config()
+	cfg.Workers = 8
 
 	rec := &obs.Recorder{}
 	stop := make(chan struct{})

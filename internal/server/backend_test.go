@@ -78,9 +78,8 @@ func TestAnnealJob(t *testing.T) {
 }
 
 // A portfolio job runs end to end through the service: the result names
-// the winning backend, the floorplan is legal, and — the loser-release
-// regression — the pool accounting returns to idle once the race's
-// cancelled contestants unwind.
+// the winning backend, the floorplan is legal, and the pool accounting
+// returns to idle once every contestant has returned.
 func TestPortfolioJobReleasesPool(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1})
 	m := ts.Metrics()
@@ -106,8 +105,8 @@ func TestPortfolioJobReleasesPool(t *testing.T) {
 		t.Fatalf("portfolio result partial: %d/%d", res.Placed, res.Modules)
 	}
 
-	// Cancelled losers must free their workers: both pool gauges drain to
-	// zero after the job completes.
+	// The race's contestants free their workers: both pool gauges drain
+	// to zero after the job completes.
 	idle := false
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
 		if m.Gauge("running_jobs") == 0 && m.Gauge("queue_depth") == 0 {
@@ -129,8 +128,8 @@ func TestPortfolioJobReleasesPool(t *testing.T) {
 	}
 }
 
-// The augment path stamps who owned each step's incumbent; without a
-// portfolio race that is the branch and bound itself.
+// The milp backend stamps its paradigm, the branch and bound, on the
+// result, and the payload carries its augmentation steps.
 func TestStepSourceInPayload(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1})
 	sr := ts.submit(t, smallRequest(), http.StatusAccepted)
@@ -145,10 +144,5 @@ func TestStepSourceInPayload(t *testing.T) {
 	}
 	if len(res.Steps) == 0 {
 		t.Fatal("no steps in payload")
-	}
-	for _, st := range res.Steps {
-		if st.Source != "bb" {
-			t.Fatalf("step %d source = %q, want bb", st.Step, st.Source)
-		}
 	}
 }

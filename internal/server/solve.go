@@ -64,18 +64,15 @@ type PlacementView struct {
 
 // StepView is one successive-augmentation step's statistics.
 type StepView struct {
-	Step     int    `json:"step"`
-	Added    int    `json:"added"`
-	Binaries int    `json:"binaries"`
-	Nodes    int    `json:"nodes"`
-	LPIters  int    `json:"lpIters"`
-	Status   string `json:"status"`
-	// Source names who owned the step's best solution: "bb", or a
-	// portfolio label when an externally-shared incumbent dominated it.
-	Source  string  `json:"source,omitempty"`
-	Gap     float64 `json:"gap"`
-	Height  float64 `json:"height"`
-	Relaxed bool    `json:"relaxed,omitempty"`
+	Step     int     `json:"step"`
+	Added    int     `json:"added"`
+	Binaries int     `json:"binaries"`
+	Nodes    int     `json:"nodes"`
+	LPIters  int     `json:"lpIters"`
+	Status   string  `json:"status"`
+	Gap      float64 `json:"gap"`
+	Height   float64 `json:"height"`
+	Relaxed  bool    `json:"relaxed,omitempty"`
 }
 
 // runJob executes one dequeued job end to end: start, solve under the
@@ -238,8 +235,7 @@ func buildPayload(in *Instance, res *core.Result, dur time.Duration) *ResultPayl
 		p.Steps = append(p.Steps, StepView{
 			Step: st.Step, Added: len(st.Added), Binaries: st.Binaries,
 			Nodes: st.Nodes, LPIters: st.LPIters, Status: st.Status.String(),
-			Source: st.IncumbentSource,
-			Gap:    gap, Height: st.Height, Relaxed: st.Relaxed,
+			Gap: gap, Height: st.Height, Relaxed: st.Relaxed,
 		})
 		p.Gap = gap
 	}
